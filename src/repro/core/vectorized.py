@@ -169,6 +169,19 @@ class VectorizedBlockCodec:
             out[:, i], remainder = np.divmod(remainder, w)
         return out
 
+    def attribute_values(
+        self, ordinals: np.ndarray, position: int
+    ) -> np.ndarray:
+        """One attribute column of ``ordinals``, without the full inverse.
+
+        The mixed-radix digit ``(o // weights[position]) %
+        domain_sizes[position]`` — column ``position`` of
+        :meth:`phi_inverse_rows`, so a predicate on one attribute can be
+        tested as a vector mask before any tuple is built.
+        """
+        weight = self._np_weights[position]
+        return (ordinals // weight) % self._np_sizes[position]
+
     # ------------------------------------------------------------------
     # Sizing
     # ------------------------------------------------------------------

@@ -10,12 +10,16 @@ quantity Figure 5.8 tabulates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.profile import QueryProfile
 from repro.relational.algebra import RangePredicate
 
-__all__ = ["RangeQuery", "QueryResult"]
+__all__ = ["RangeQuery", "QueryResult", "BoundPredicate", "filter_tuples"]
+
+#: A predicate resolved against a schema: ``(position, lo, hi)``, both
+#: ends inclusive and clamped to the domain (``RangePredicate.bind``).
+BoundPredicate = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -81,3 +85,17 @@ class QueryResult:
         if self.tuples_examined == 0:
             return 0.0
         return len(self.tuples) / self.tuples_examined
+
+
+def filter_tuples(
+    tuples: Iterable[Tuple[int, ...]], bound: Sequence[BoundPredicate]
+) -> List[Tuple[int, ...]]:
+    """The tuples satisfying every bound predicate, in input order.
+
+    The one per-tuple conjunctive test every tuple-at-a-time executor
+    shares (live selects, full scans, and the snapshot's scalar
+    fallback).
+    """
+    return [
+        t for t in tuples if all(lo <= t[pos] <= hi for pos, lo, hi in bound)
+    ]

@@ -10,11 +10,12 @@ property the serving layer's reader threads rely on (docs/SERVING.md).
 
 Snapshots deliberately do **not** reuse the table's live indices; those
 track the *current* state.  Instead they plan from their own frozen
-directory: the ``(first, last)`` phi-ordinal range per block gives the
-same contiguous-run pruning the primary index would for a leading-
-attribute predicate, and a point probe finds its one covering block the
-same way.  Payload decodes bypass the decoded-block cache for the same
-reason — that cache answers "what does this block hold *now*".
+directory: bisecting the ``(first, last)`` phi-ordinal ranges (the
+store keys each epoch's first ordinals once) gives the same
+contiguous-run pruning the primary index would for a leading-attribute
+predicate, and a point probe finds its one covering block the same way.
+Payload decodes bypass the decoded-block cache for the same reason —
+that cache answers "what does this block hold *now*".
 
 A snapshot pins superseded block versions, so it must be closed;
 ``with table.read_snapshot() as snap: ...`` is the idiomatic form.
@@ -22,9 +23,18 @@ A snapshot pins superseded block versions, so it must be closed;
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.db.query import QueryResult, RangeQuery
+import numpy as np
+
+from repro.core.vectorized import VectorizedBlockCodec
+from repro.db.query import (
+    BoundPredicate,
+    QueryResult,
+    RangeQuery,
+    filter_tuples,
+)
 from repro.errors import QueryCancelled, QueryError
 from repro.obs import runtime as _obs
 from repro.storage.mvcc import BlockVersionStore, SnapshotHandle
@@ -83,14 +93,23 @@ class TableSnapshot:
         """Execute a conjunctive range query against the frozen state.
 
         Planning mirrors the live table's first preference: a predicate
-        on the leading attribute prunes to the contiguous run of
-        directory entries whose ordinal range overlaps it; anything else
-        scans every entry.  Results are ordinal tuples, exactly as
-        :meth:`Table.select` returns them.
+        on the leading attribute bisects the frozen directory to the
+        contiguous run of entries whose ordinal range overlaps it;
+        anything else scans every entry.  Results are ordinal tuples in
+        phi order, exactly as :meth:`Table.select` returns them.
+
+        Filtering is array-native when the table's vector codec can
+        decode (docs/SERVING.md): each block decodes once to its sorted
+        ordinal array, a leading-attribute range becomes one
+        ``searchsorted`` slice (phi is monotone inside a block), every
+        other predicate a vector mask over that attribute's digit, and
+        tuples are built only for the survivors.  Other codecs keep the
+        tuple-at-a-time filter.  Either way ``tuples_examined`` counts
+        every tuple of every block read.
 
         ``should_cancel`` is the cooperative cancellation hook the
         serving layer threads in (docs/SERVING.md): it is polled before
-        every block decode, and when it returns ``True`` the select
+        every block read, and when it returns ``True`` the select
         aborts with :class:`~repro.errors.QueryCancelled` instead of
         finishing work whose deadline has already fired.  Cancellation
         is block-granular — a read that is *inside* a stalled disk
@@ -99,19 +118,23 @@ class TableSnapshot:
         self._require_open()
         bound = [p.bind(self._table.schema) for p in query.predicates]
         leading = next((b for b in bound if b[0] == 0), None)
+        directory = self._handle.directory
+        ordinal_range: Optional[Tuple[int, int]] = None
         if leading is not None:
-            weights = self._table.schema.mapper.weights
-            lo_ord = leading[1] * weights[0]
-            hi_ord = (leading[2] + 1) * weights[0] - 1
-            candidates = [
-                e
-                for e in self._handle.directory
-                if not (e[2] < lo_ord or e[1] > hi_ord)
-            ]
+            w = self._table.schema.mapper.weights[0]
+            ordinal_range = (leading[1] * w, (leading[2] + 1) * w - 1)
+            start = self._first_overlapping(ordinal_range[0])
+            stop = bisect_right(self._handle.firsts, ordinal_range[1])
+            candidates = directory[start:stop]
             access_path = "snapshot-directory"
         else:
-            candidates = list(self._handle.directory)
+            candidates = directory
             access_path = "snapshot-scan"
+        vec = self._array_codec()
+        # The leading predicate becomes the slice; every other one —
+        # including a second predicate on the leading attribute — is
+        # masked.
+        masked = [b for b in bound if b is not leading]
         out: List[Tuple[int, ...]] = []
         examined = 0
         with _obs.span(
@@ -120,6 +143,7 @@ class TableSnapshot:
             csn=self.csn,
             candidates=len(candidates),
             codec_path=self._table._codec_path(),
+            filter_path="tuple" if vec is None else "array",
         ):
             for block_id, _first, _last, _count in candidates:
                 if should_cancel is not None and should_cancel():
@@ -127,10 +151,15 @@ class TableSnapshot:
                         f"select on {self._table.name!r} cancelled at "
                         f"block {block_id} (csn {self.csn})"
                     )
-                for t in self._read_tuples(block_id):
-                    examined += 1
-                    if all(lo <= t[pos] <= hi for pos, lo, hi in bound):
-                        out.append(t)
+                payload = self._read_payload(block_id)
+                if vec is None:
+                    tuples = self._table.storage.decode_payload(payload)
+                    examined += len(tuples)
+                    out.extend(filter_tuples(tuples, bound))
+                else:
+                    examined += _filter_array(
+                        vec, payload, ordinal_range, masked, out
+                    )
         return QueryResult(
             tuples=out,
             blocks_read=len(candidates),
@@ -181,18 +210,80 @@ class TableSnapshot:
         if self._closed:
             raise QueryError("snapshot is closed")
 
+    def _first_overlapping(self, ordinal: int) -> int:
+        """Index of the first directory entry whose ``last >= ordinal``.
+
+        Entries are phi-clustered (``last[i] <= first[i + 1]``), so only
+        the last entry starting below ``ordinal`` can end at or past it
+        while starting before it; every later entry starts at or past it.
+        """
+        index = max(bisect_left(self._handle.firsts, ordinal) - 1, 0)
+        directory = self._handle.directory
+        if index < len(directory) and directory[index][2] < ordinal:
+            index += 1
+        return index
+
     def _covering_entry(
         self, ordinal: int
     ) -> Optional[Tuple[int, int, int, int]]:
-        for entry in self._handle.directory:
-            if entry[1] <= ordinal <= entry[2]:
-                return entry
+        index = self._first_overlapping(ordinal)
+        directory = self._handle.directory
+        if index < len(directory) and directory[index][1] <= ordinal:
+            return directory[index]
         return None
 
-    def _read_tuples(self, block_id: int) -> List[Tuple[int, ...]]:
-        payload = self._store.read(
+    def _array_codec(self) -> Optional[VectorizedBlockCodec]:
+        """The vector codec when it can decode this table, else ``None``."""
+        vec = getattr(self._table.storage.codec, "vector_codec", None)
+        if vec is None or not vec.decode_supported:
+            return None
+        return vec
+
+    def _read_payload(self, block_id: int) -> bytes:
+        return self._store.read(
             block_id,
             self._handle.csn,
             lambda: self._table._current_payload(block_id),
         )
-        return self._table.storage.decode_payload(payload)
+
+    def _read_tuples(self, block_id: int) -> List[Tuple[int, ...]]:
+        return self._table.storage.decode_payload(self._read_payload(block_id))
+
+
+def _filter_array(
+    vec: VectorizedBlockCodec,
+    payload: bytes,
+    ordinal_range: Optional[Tuple[int, int]],
+    masked: Sequence[BoundPredicate],
+    out: List[Tuple[int, ...]],
+) -> int:
+    """Filter one block in ordinal space; append matches, return its size.
+
+    ``ordinal_range`` is the leading predicate's inclusive range, cut as
+    one slice of the block's sorted ordinals; each ``masked`` predicate
+    is then a vector test on its attribute's digit.  Only the surviving
+    ordinals are inverted into tuples, in phi order.
+    """
+    reg = _obs.REGISTRY
+    t0 = _obs.now_ms() if reg is not None else 0.0
+    ordinals = vec.decode_ordinals_array(payload)
+    size = int(ordinals.size)
+    if reg is not None:
+        # The counters BlockCodec.decode_ordinals keeps, which this
+        # direct call bypasses.
+        reg.inc("codec.ordinal_decodes")
+        reg.inc("codec.vector_decodes")
+        reg.observe("codec.decode_ms", _obs.now_ms() - t0)
+    if ordinal_range is not None:
+        lo = int(np.searchsorted(ordinals, ordinal_range[0], side="left"))
+        hi = int(np.searchsorted(ordinals, ordinal_range[1], side="right"))
+        ordinals = ordinals[lo:hi]
+    if masked and ordinals.size:
+        keep = np.ones(ordinals.size, dtype=bool)
+        for pos, lo_value, hi_value in masked:
+            values = vec.attribute_values(ordinals, pos)
+            keep &= (values >= lo_value) & (values <= hi_value)
+        ordinals = ordinals[keep]
+    if ordinals.size:
+        out.extend(map(tuple, vec.phi_inverse_rows(ordinals).tolist()))
+    return size

@@ -31,7 +31,7 @@ from typing import (
 
 from repro.core.codec import BlockCodec
 from repro.errors import CorruptionError, QuarantinedBlockError, QueryError
-from repro.db.query import QueryResult, RangeQuery
+from repro.db.query import QueryResult, RangeQuery, filter_tuples
 from repro.obs import runtime as _obs
 from repro.obs.profile import QueryProfile, QueryProfiler
 from repro.index.hashindex import ExtendibleHashIndex
@@ -537,10 +537,19 @@ class Table:
         return TableSnapshot(self, self._mvcc, self._mvcc.snapshot())
 
     def _current_payload(self, block_id: int) -> bytes:
-        """The latest on-disk payload, via the latched pool when present."""
+        """The latest on-disk payload, checksum-verified.
+
+        Through the latched pool when present (it verifies on
+        admission), else straight from disk and verified here, so rot
+        surfaces as :class:`~repro.errors.CorruptionError` instead of
+        reaching a snapshot reader — or the MVCC stash — as bytes.
+        """
         if self._buffer is not None:
             return self._buffer.get(block_id)
-        return self._disk().read_block(block_id)
+        storage = self._require_avq("snapshot reads")
+        payload = self._disk().read_block(block_id)
+        storage.verify_payload(block_id, payload)
+        return payload
 
     def _mvcc_stash(self, block_id: int) -> None:
         """Preserve a block's committed payload before rewriting it."""
@@ -585,10 +594,8 @@ class Table:
                     continue
                 t1 = _obs.now_ms()
                 fetch_ms += t1 - t0
-                for t in tuples:
-                    examined += 1
-                    if all(lo <= t[pos] <= hi for pos, lo, hi in bound):
-                        out.append(t)
+                examined += len(tuples)
+                out.extend(filter_tuples(tuples, bound))
                 filter_ms += _obs.now_ms() - t1
         profile = profiler.finish(
             access_path=access_path,
@@ -645,10 +652,8 @@ class Table:
                 t1 = _obs.now_ms()
                 fetch_ms += t1 - t0
                 blocks += 1
-                for t in tuples:
-                    examined += 1
-                    if all(lo <= t[pos] <= hi for pos, lo, hi in bound):
-                        out.append(t)
+                examined += len(tuples)
+                out.extend(filter_tuples(tuples, bound))
                 filter_ms += _obs.now_ms() - t1
         profile = profiler.finish(
             access_path="scan",

@@ -35,7 +35,8 @@ flatten reader concurrency), so a writer may stash-and-overwrite while
 the fallback is in flight.  The reader re-checks the stash afterwards
 and prefers it: the stash is written before the overwrite, so a reader
 that saw no stash on the re-check is guaranteed its fallback bytes
-pre-date any overwrite.
+pre-date any overwrite.  The same re-check answers a fallback whose
+checksum verification tripped on such a race.
 
 Everything here is latched; the store is shared by one writer and any
 number of reader threads.
@@ -47,7 +48,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import StorageError
+from repro.errors import CorruptionError, StorageError
 from repro.obs import runtime as _obs
 
 __all__ = ["BlockVersionStore", "SnapshotHandle", "VersionStoreStats"]
@@ -88,11 +89,21 @@ class SnapshotHandle:
 
     Obtained from :meth:`BlockVersionStore.snapshot`; must be passed back
     to :meth:`BlockVersionStore.release` (the db layer's
-    ``TableSnapshot`` wraps that in a context manager).
+    ``TableSnapshot`` wraps that in a context manager).  ``firsts`` is
+    the directory's first-ordinal column, ascending because blocks are
+    phi-clustered — the key a reader bisects to plan without scanning
+    the directory.  It is computed once per epoch, not per snapshot.
     """
 
     csn: int
     directory: Tuple[DirectoryEntry, ...]
+    firsts: Tuple[int, ...]
+
+
+def _first_ordinals(
+    directory: Tuple[DirectoryEntry, ...],
+) -> Tuple[int, ...]:
+    return tuple(entry[1] for entry in directory)
 
 
 class BlockVersionStore:
@@ -103,6 +114,7 @@ class BlockVersionStore:
         self._csn = 0
         self._versions: Dict[int, List[_Version]] = {}
         self._committed: Tuple[DirectoryEntry, ...] = tuple(directory)
+        self._firsts = _first_ordinals(self._committed)
         #: csn -> number of unreleased snapshots pinned at it.
         self._pinned: Dict[int, int] = {}
         self.stats = VersionStoreStats()
@@ -163,6 +175,7 @@ class BlockVersionStore:
             for version in open_versions:
                 version.death_csn = self._csn
             self._committed = entries
+            self._firsts = _first_ordinals(entries)
             self.stats.published += 1
             reg = _obs.REGISTRY
             if reg is not None:
@@ -184,7 +197,9 @@ class BlockVersionStore:
             if reg is not None:
                 reg.inc("mvcc.snapshots")
                 reg.set_gauge("mvcc.pinned", float(self.pinned_snapshots))
-            return SnapshotHandle(csn=self._csn, directory=self._committed)
+            return SnapshotHandle(
+                csn=self._csn, directory=self._committed, firsts=self._firsts
+            )
 
     def release(self, handle: SnapshotHandle) -> None:
         """Unpin a snapshot; versions nobody can see any more are pruned."""
@@ -221,7 +236,19 @@ class BlockVersionStore:
             if payload is not None:
                 self._count_read(from_stash=True)
                 return payload
-        current = fallback()
+        try:
+            current = fallback()
+        except CorruptionError:
+            # A checksum-verified fallback also trips when a writer
+            # overwrites the block mid-read (bytes and recorded CRC from
+            # different versions).  The writer stashed first, so the
+            # stash answers that case; without one the damage is real.
+            with self._lock:
+                payload = self._visible_locked(block_id, snapshot_csn)
+                if payload is None:
+                    raise
+                self._count_read(from_stash=True)
+                return payload
         with self._lock:
             payload = self._visible_locked(block_id, snapshot_csn)
             if payload is not None:

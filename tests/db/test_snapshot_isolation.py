@@ -29,12 +29,13 @@ from hypothesis.stateful import (
 from repro.db.query import RangeQuery
 from repro.db.table import Table
 from repro.db.transactions import Transaction
-from repro.errors import QueryError
+from repro.errors import CorruptionError, IntegrityError, QueryError
 from repro.relational.algebra import RangePredicate
 from repro.relational.domain import IntegerRangeDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.storage.disk import SimulatedDisk
+from repro.storage.faults import FaultInjector, FaultyDisk
 
 DOMAINS = (6, 8, 10)
 
@@ -120,6 +121,21 @@ class TestSnapshotBasics:
             assert Counter(snap.scan()) == before
         with table.read_snapshot() as snap2:
             assert Counter(snap2.scan()) == before
+
+    def test_rotted_block_is_neither_served_nor_stashed(self):
+        relation = Relation(make_schema(), ROWS)
+        disk = FaultyDisk(block_size=64, injector=FaultInjector(seed=0))
+        table = Table.from_relation("t", relation, disk)
+        table.enable_mvcc()
+        disk.rot_block(table.storage.block_ids[0])
+        with table.read_snapshot() as snap:
+            with pytest.raises(CorruptionError):
+                snap.scan()
+        with pytest.raises(IntegrityError):
+            table.delete(ROWS[0])
+        # The write's copy-before-write read verified the bytes too, so
+        # no rotted pre-image entered the version store.
+        assert table.mvcc.version_count == 0
 
     def test_csn_advances_once_per_autocommit(self):
         table = make_table(ROWS)

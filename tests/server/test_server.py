@@ -17,6 +17,7 @@ from repro.db.database import Database
 from repro.server.client import AsyncReproClient, ReproClient
 from repro.server.loadgen import run_loadgen
 from repro.server.server import ReproServer, ServerConfig
+from repro.storage.faults import FaultInjector, FaultyDisk
 
 ROWS = [
     [0, 10, 3],
@@ -180,6 +181,45 @@ class TestRequests:
                     assert entry["tuples"] == len(ROWS)
                     assert entry["csn"] == 0
                     assert entry["pinned_snapshots"] == 0
+
+        run(scenario())
+
+
+class TestServedIntegrity:
+    def test_rotted_block_answers_typed_corruption_not_rows(self):
+        """Served selects verify the checksum of every block they read
+        from disk: bit rot comes back as a typed error, never as rows."""
+        rows = [[i, (i * 7) % 50, (i * 3) % 20] for i in range(40)]
+        disk = FaultyDisk(block_size=256, injector=FaultInjector(seed=0))
+        database = Database(disk=disk)
+        table = database.create_table("t", rows, columns=["a", "b", "c"])
+        block_id = table.storage.block_ids[0]
+        disk.rot_block(block_id)
+        # The seeded flip is the dangerous kind: without the checksum the
+        # damaged payload decodes cleanly, to the wrong tuples.
+        decoded = table.storage.decode_payload(disk.read_block(block_id))
+        assert sorted(decoded) != sorted(map(tuple, rows))
+
+        async def scenario():
+            async with serving(database) as (server, host, port):
+                async with await AsyncReproClient.connect(
+                    host, port, raise_errors=False
+                ) as c:
+                    for predicates in (
+                        [],
+                        [{"attribute": "a", "lo": 1, "hi": 2}],
+                        [{"attribute": "c", "lo": 0, "hi": 4}],
+                    ):
+                        response = await c.request({
+                            "op": "select",
+                            "table": "t",
+                            "predicates": predicates,
+                        })
+                        assert response["status"] == "error"
+                        assert response["code"] == "CorruptionError"
+                        assert str(block_id) in response["message"]
+                        assert "rows" not in response
+                    assert (await c.request({"op": "ping"}))["pong"] is True
 
         run(scenario())
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import CorruptionError, StorageError
 from repro.storage.mvcc import BlockVersionStore
 
 DIR_A = [(0, 0, 9, 4), (1, 10, 19, 4)]
@@ -95,6 +95,34 @@ class TestReaderSide:
 
         assert store.read(0, snap.csn, racing_fallback) == b"committed"
         store.release(snap)
+
+    def test_read_resolves_checksum_race_from_stash(self):
+        """A verified fallback that trips mid-overwrite defers to the
+        stash; with no stash the corruption is real and surfaces."""
+        store = make_store()
+        snap = store.snapshot()
+
+        def torn_fallback():
+            store.stash(0, lambda: b"committed")
+            raise CorruptionError("checksum mismatch", block_id=0)
+
+        assert store.read(0, snap.csn, torn_fallback) == b"committed"
+        assert store.stats.reads_from_stash == 1
+
+        def rotted_fallback():
+            raise CorruptionError("checksum mismatch", block_id=1)
+
+        with pytest.raises(CorruptionError):
+            store.read(1, snap.csn, rotted_fallback)
+        store.release(snap)
+
+    def test_handles_share_the_epochs_first_ordinals(self):
+        store = make_store()
+        s0 = store.snapshot()
+        assert s0.firsts == (0, 10)
+        assert store.snapshot().firsts is s0.firsts  # keyed once per epoch
+        store.publish(DIR_B + [(3, 25, 30, 2)])
+        assert store.snapshot().firsts == (0, 10, 25)
 
     def test_old_snapshot_sees_old_chain(self):
         store = make_store()
