@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.codec import BlockCodec
-from repro.core.fastpack import fast_pack_boundaries
+from repro.core.vectorized import VectorizedBlockCodec
 from repro.storage.packer import pack_ordinals
 
 BLOCK_SIZE = 8192
@@ -26,9 +26,9 @@ def test_pack_scalar(benchmark, small_variance_relation, ordinals):
 
 
 def test_pack_vectorised(benchmark, small_variance_relation, ordinals):
-    sizes = small_variance_relation.schema.domain_sizes
+    vec = VectorizedBlockCodec(small_variance_relation.schema.domain_sizes)
     arr = np.asarray(ordinals, dtype=np.int64)
-    boundaries = benchmark(fast_pack_boundaries, arr, sizes, BLOCK_SIZE)
+    boundaries = benchmark(vec.pack_boundaries, arr, BLOCK_SIZE)
     benchmark.extra_info["blocks"] = len(boundaries)
 
 
@@ -36,7 +36,7 @@ def test_fast_and_scalar_agree(small_variance_relation, ordinals):
     sizes = small_variance_relation.schema.domain_sizes
     codec = BlockCodec(sizes)
     exact = pack_ordinals(codec, ordinals, BLOCK_SIZE)
-    fast = fast_pack_boundaries(
-        np.asarray(ordinals, dtype=np.int64), sizes, BLOCK_SIZE
+    fast = VectorizedBlockCodec(sizes).pack_boundaries(
+        np.asarray(ordinals, dtype=np.int64), BLOCK_SIZE
     )
     assert [ordinals[s:e] for s, e in fast] == exact.blocks

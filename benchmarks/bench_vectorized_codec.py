@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.codec import BlockCodec
-from repro.core.fastpack import fast_pack_boundaries
+from repro.core.vectorized import VectorizedBlockCodec
 
 BLOCK_SIZE = 4096
 MIN_SPEEDUP = 5.0
@@ -30,7 +30,8 @@ def runs(small_variance_relation):
     ordinals = np.asarray(
         sorted(small_variance_relation.phi_ordinals()), dtype=np.int64
     )
-    boundaries = fast_pack_boundaries(ordinals, sizes, BLOCK_SIZE)
+    vec = VectorizedBlockCodec(sizes)
+    boundaries = vec.pack_boundaries(ordinals, BLOCK_SIZE)
     return sizes, [ordinals[s:e] for s, e in boundaries]
 
 

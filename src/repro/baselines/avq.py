@@ -8,7 +8,7 @@ from repro.baselines.base import BaselineCodec
 from repro.core.codec import BlockCodec
 from repro.relational.relation import Relation
 from repro.storage.block import DEFAULT_BLOCK_SIZE
-from repro.storage.packer import pack_ordinals
+from repro.storage.packer import pack_runs
 
 __all__ = ["AVQBaseline"]
 
@@ -49,18 +49,4 @@ class AVQBaseline(BaselineCodec):
     def blocks_needed(
         self, relation: Relation, block_size: int = DEFAULT_BLOCK_SIZE
     ) -> int:
-        ordinals = relation.phi_ordinals()
-        if self._codec.chained and self._codec.mapper.fits_int64 and ordinals:
-            # Vectorised fast path; bit-identical to the exact packer
-            # (property-tested in tests/core/test_fastpack.py).
-            import numpy as np
-
-            from repro.core.fastpack import fast_blocks_needed
-
-            return fast_blocks_needed(
-                np.asarray(ordinals, dtype=np.int64),
-                self._codec.mapper.domain_sizes,
-                block_size,
-            )
-        partition = pack_ordinals(self._codec, ordinals, block_size)
-        return partition.stats.num_blocks
+        return len(pack_runs(self._codec, relation.phi_ordinals(), block_size))

@@ -65,11 +65,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     inferencer = SchemaInferencer(integer_padding=args.integer_padding)
     schema = inferencer.infer(rows, names)
     relation = Relation.from_values(schema, rows)
-    summary = write_avq_file(
-        args.output, relation,
-        block_size=args.block_size,
-        workers=args.workers,
-    )
+    summary = write_avq_file(args.output, relation, block_size=args.block_size)
     ratio = 100.0 * (
         1.0 - summary["file_bytes"] / max(1, summary["fixed_width_bytes"])
     )
@@ -118,22 +114,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_decompress(args: argparse.Namespace) -> int:
     with AVQFileReader(args.input) as reader:
         names = reader.schema.names
-        schema = reader.schema
-        if args.workers is not None:
-            from repro.core.parallel import decode_blocks
-
-            payloads = [
-                reader.read_payload(p) for p in range(reader.num_blocks)
-            ]
-            rows = [
-                schema.decode_tuple(t)
-                for block in decode_blocks(
-                    reader.codec, payloads, workers=args.workers
-                )
-                for t in block
-            ]
-        else:
-            rows = list(reader.scan_values())
+        rows = list(reader.scan_values())
     write_csv_rows(args.output, names, rows)
     print(f"{args.output}: {len(rows)} rows, {len(names)} columns")
     return 0
@@ -491,9 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV has no header row")
     p.add_argument("--integer-padding", type=int, default=0,
                    help="headroom added above each integer column's max")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel block coding: 0 = all cores, N = exactly N "
-                        "(default: in-process serial)")
     p.add_argument("--durable", metavar="WALPATH", default=None,
                    help="also write a write-ahead log seeded with the "
                         "table's checkpoint image (docs/RECOVERY.md)")
@@ -510,9 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompress", help=".avq container -> CSV")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel block decoding: 0 = all cores, N = exactly "
-                        "N (default: in-process serial)")
     p.set_defaults(func=_cmd_decompress)
 
     p = sub.add_parser("info", help="describe a container")

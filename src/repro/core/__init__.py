@@ -7,7 +7,7 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.runlength` — leading-zero run-length coding (Sec. 3.4)
 * :mod:`repro.core.representative` — representative selection strategies
 * :mod:`repro.core.codec` — the full block coding pipeline (Sec. 3.4)
-* :mod:`repro.core.vectorized` — the numpy whole-block codec fast path
+* :mod:`repro.core.vectorized` — the numpy packer and block codec fast path
 * :mod:`repro.core.quantizer` — the definitional quantizer ``Q_L`` (Def. 2.1)
 """
 
@@ -18,25 +18,16 @@ from repro.core.difference import (
     ordinal_difference,
     tuple_difference,
 )
-from repro.core.fastpack import (
-    FastGapSizer,
-    fast_blocks_needed,
-    fast_pack_boundaries,
-)
 from repro.core.golomb import GolombBlockCodec, choose_rice_parameter
-from repro.core.parallel import (
-    SERIAL_THRESHOLD,
-    ParallelBlockCodec,
-    decode_blocks,
-    decode_ordinal_blocks,
-    encode_blocks,
-    resolve_workers,
-)
 from repro.core.phi import OrdinalMapper, phi_array, phi_inverse_array
 from repro.core.quantizer import AVQCode, AVQQuantizer, build_codebook
 from repro.core.representative import STRATEGIES, get_strategy
 from repro.core.runlength import TupleLayout, rle_decode, rle_encode
-from repro.core.vectorized import VectorizedBlockCodec, vectorized_codec_for
+from repro.core.vectorized import (
+    VectorizedBlockCodec,
+    numpy_packer_for,
+    vectorized_codec_for,
+)
 
 __all__ = [
     "BlockCodec",
@@ -55,17 +46,9 @@ __all__ = [
     "ordinal_difference",
     "difference_tuple",
     "apply_difference",
-    "FastGapSizer",
-    "fast_blocks_needed",
-    "fast_pack_boundaries",
     "GolombBlockCodec",
     "choose_rice_parameter",
-    "SERIAL_THRESHOLD",
-    "ParallelBlockCodec",
-    "encode_blocks",
-    "decode_blocks",
-    "decode_ordinal_blocks",
-    "resolve_workers",
     "VectorizedBlockCodec",
+    "numpy_packer_for",
     "vectorized_codec_for",
 ]

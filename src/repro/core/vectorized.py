@@ -1,16 +1,10 @@
 """The vectorised numpy block codec: whole-block AVQ coding as array ops.
 
-:mod:`repro.core.fastpack` proved the approach for the *encode* half of
-the Section 3.4 pipeline (gap sizing, packing, RLE rendering); this
-module completes it into a full codec.  A
-:class:`VectorizedBlockCodec` runs every stage of the block pipeline —
-batch mixed-radix ``phi``/``phi⁻¹`` over ``(u, n)`` tuple arrays,
-median-representative selection, difference chaining, and
-leading-zero-byte RLE rendering *and parsing* — as numpy array ops over
-a whole block, plus many-blocks-at-once entry points
-(:meth:`~VectorizedBlockCodec.encode_runs`,
-:meth:`~VectorizedBlockCodec.decode_blocks`) that compose with the
-:class:`~repro.core.parallel.ParallelBlockCodec` worker fan-out.
+A :class:`VectorizedBlockCodec` runs every stage of the Section 3.4
+block pipeline — batch mixed-radix ``phi``/``phi⁻¹`` over ``(u, n)``
+tuple arrays, gap sizing and greedy block packing, median-representative
+selection, difference chaining, and leading-zero-byte RLE rendering
+*and parsing* — as numpy array ops over a whole block.
 
 Every byte it emits is **identical** to the scalar
 :class:`~repro.core.codec.BlockCodec` (the differential suite in
@@ -19,21 +13,30 @@ random schemas), and every payload it accepts decodes to exactly the
 tuples the scalar decoder would produce — or raises the same error
 class where the scalar decoder would raise.
 
+Sizing rests on one observation: the chained encoding of a gap costs
+``1 + m - leading_zero_bytes(gap)`` bytes, and the leading-zero-byte
+count is a step function of the gap value.  Precomputing the ``m``
+thresholds at construction turns per-gap costing into one
+``numpy.searchsorted`` and greedy packing into a cumulative-sum walk.
+
 The decoder's interesting problem is that RLE entries have
 *data-dependent* lengths (``1 + m - count`` bytes), so entry offsets
 form a chain that looks inherently sequential.  It is vectorised here
-with pointer doubling (parallel list ranking): one array op computes
+with pointer doubling (list ranking): one array op computes
 "offset after the next entry" for *every* byte position at once, and
 ``log2(u)`` squarings of that jump table enumerate all ``u - 1`` entry
 offsets without a per-entry Python loop.
 
-Eligibility follows the established ``fastpack`` fallback rule: the
-ordinal space must fit comfortably in ``int64`` and the codec must be
-the paper's default configuration (chained differences, median
-representative).  Decoding additionally requires that no corrupt byte
-pattern can overflow ``int64`` during difference reassembly (checked
-exactly, in Python integers, at construction); schemas outside these
-bounds transparently keep the exact scalar path.
+Two rules decide where the numpy paths apply; schemas outside them
+transparently keep the exact scalar path:
+
+* **Packing** (:func:`numpy_packer_for`): chained differences over an
+  ordinal space that fits ``int64``.  The representative does not
+  change a chained block's size.
+* **Coding** (:func:`vectorized_codec_for`): the packing rule plus the
+  paper's median representative.  Decoding additionally requires that
+  no corrupt byte pattern can overflow ``int64`` during difference
+  reassembly (checked exactly, in Python integers, at construction).
 """
 
 from __future__ import annotations
@@ -43,15 +46,23 @@ from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 import numpy as np
 
 from repro.core.codec import HEADER_BYTES, MAX_TUPLES_PER_BLOCK
-from repro.core.fastpack import FastBlockEncoder, FastGapSizer
 from repro.core.phi import OrdinalMapper
 from repro.core.runlength import TupleLayout
-from repro.errors import BlockOverflowError, CodecError, DomainError
+from repro.errors import (
+    BlockOverflowError,
+    CodecError,
+    DomainError,
+    StorageError,
+)
 
 if TYPE_CHECKING:  # circular at type level only
     from repro.core.codec import BlockCodec
 
-__all__ = ["VectorizedBlockCodec", "vectorized_codec_for"]
+__all__ = [
+    "VectorizedBlockCodec",
+    "numpy_packer_for",
+    "vectorized_codec_for",
+]
 
 
 class VectorizedBlockCodec:
@@ -81,18 +92,34 @@ class VectorizedBlockCodec:
                 "ordinal space exceeds int64; use the exact scalar codec"
             )
         self._layout = TupleLayout(domain_sizes)
-        self._sizer = FastGapSizer(domain_sizes)
-        self._encoder = FastBlockEncoder(domain_sizes)
-        # Decode-side byte weights: output byte column -> its multiplier
-        # in the mixed-radix value (field phi weight times the byte's
-        # power of 256 inside the field).  A fixed-width rendering r
-        # then satisfies  value == r @ byte_weights.
+        # Per output byte column of the fixed-width rendering: the phi
+        # weight and domain size of its attribute, the right-shift that
+        # selects this byte of the field, and the byte's multiplier in
+        # the mixed-radix value (weight times the byte's power of 256),
+        # so a rendering r satisfies  value == r @ byte_weights.
+        self._col_weight: List[int] = []
+        self._col_size: List[int] = []
+        self._col_shift: List[int] = []
         mults: List[int] = []
-        for weight, width in zip(
-            self._mapper.weights, self._layout.field_widths
+        # Gap thresholds, most-significant byte first: the first p bytes
+        # of a gap's rendering are zero exactly when the gap is below the
+        # p-th entry, min(256**(bytes of the field still uncovered) *
+        # weight, capacity of this field and all later ones).
+        thresholds: List[int] = []
+        for size, weight, width in zip(
+            self._mapper.domain_sizes,
+            self._mapper.weights,
+            self._layout.field_widths,
         ):
             for b in range(width):
-                mults.append(weight * (256 ** (width - 1 - b)))
+                shift = 8 * (width - 1 - b)
+                self._col_weight.append(weight)
+                self._col_size.append(size)
+                self._col_shift.append(shift)
+                mults.append(weight << shift)
+                thresholds.append(min(weight << shift, size * weight))
+        # Descending by construction; stored ascending for searchsorted.
+        self._thresholds = np.asarray(thresholds[::-1], dtype=np.int64)
         # Corrupt payloads can carry arbitrary bytes, so the reassembly
         # r @ byte_weights must be overflow-free for *any* uint8 matrix,
         # not just valid renderings.  The exact worst case (all bytes
@@ -183,8 +210,70 @@ class VectorizedBlockCodec:
         return (ordinals // weight) % self._np_sizes[position]
 
     # ------------------------------------------------------------------
-    # Sizing
+    # Sizing and packing
     # ------------------------------------------------------------------
+
+    def leading_zero_bytes(self, gaps: np.ndarray) -> np.ndarray:
+        """Leading zero bytes of each gap's fixed-width rendering.
+
+        A step function of the gap value, so one ``searchsorted`` over
+        the constructor's threshold table counts them for every gap.
+        """
+        gaps = np.asarray(gaps, dtype=np.int64)
+        if gaps.size and (
+            gaps.min() < 0 or gaps.max() >= self._mapper.space_size
+        ):
+            raise DomainError("gap outside the ordinal space")
+        # zeros(gap) = number of thresholds strictly greater than gap
+        return len(self._thresholds) - np.searchsorted(
+            self._thresholds, gaps, side="right"
+        )
+
+    def rle_costs(self, gaps: np.ndarray) -> np.ndarray:
+        """Per-gap encoded cost: count byte plus non-zero tail bytes."""
+        return 1 + self._layout.tuple_bytes - self.leading_zero_bytes(gaps)
+
+    def pack_boundaries(
+        self,
+        sorted_ordinals: Union[np.ndarray, Sequence[int]],
+        block_size: int,
+    ) -> List[Tuple[int, int]]:
+        """Greedy maximal-fill block boundaries, identical to the exact packer.
+
+        Returns ``[(start, end), ...]`` index ranges into
+        ``sorted_ordinals``.  Each block's size is ``HEADER_BYTES + m +
+        sum(rle_costs of its gaps)`` — the first tuple of a block
+        contributes no gap — so packing is a ``searchsorted`` walk over
+        the cumulative gap costs.  Valid for any chained codec over these
+        domains (see :func:`numpy_packer_for`).
+        """
+        min_block = HEADER_BYTES + self._layout.tuple_bytes
+        if block_size < min_block:
+            raise StorageError(
+                f"block size {block_size} cannot hold even one tuple "
+                f"(needs {min_block} bytes)"
+            )
+        ordinals = np.asarray(sorted_ordinals, dtype=np.int64)
+        n = len(ordinals)
+        if n == 0:
+            return []
+        gaps = np.diff(ordinals)
+        if (gaps < 0).any():
+            raise StorageError("pack_boundaries requires ascending ordinals")
+        # cumulative cost of gaps: C[k] = sum of gap costs[:k]
+        cumulative = np.concatenate([[0], np.cumsum(self.rle_costs(gaps))])
+        budget = block_size - min_block  # gap bytes allowed per block
+
+        boundaries: List[Tuple[int, int]] = []
+        start = 0
+        while start < n:
+            # the largest end whose gaps start..end-2 fit the budget
+            limit = cumulative[start] + budget
+            end = int(np.searchsorted(cumulative, limit, side="right"))
+            end = max(start + 1, min(end, n))
+            boundaries.append((start, end))
+            start = end
+        return boundaries
 
     def encoded_size_of_run(
         self, sorted_ordinals: Union[np.ndarray, Sequence[int]]
@@ -201,7 +290,7 @@ class VectorizedBlockCodec:
         base = HEADER_BYTES + self._layout.tuple_bytes
         if run.size == 1:
             return base
-        return base + int(self._sizer.rle_costs(np.diff(run)).sum())
+        return base + int(self.rle_costs(np.diff(run)).sum())
 
     # ------------------------------------------------------------------
     # Encoding
@@ -226,25 +315,66 @@ class VectorizedBlockCodec:
                 f"block holds {u} tuples; the 2-byte count field allows at "
                 f"most {MAX_TUPLES_PER_BLOCK}"
             )
-        payload = self._encoder.encode_run(run)
+        payload = self._render_run(run, u)
         if capacity is not None and len(payload) > capacity:
             raise BlockOverflowError(
                 f"{u} tuples encode to more than {capacity} bytes"
             )
         return payload
 
-    def encode_runs(
-        self,
-        runs: Sequence[Union[np.ndarray, Sequence[int]]],
-        capacity: Optional[int] = None,
-    ) -> List[bytes]:
-        """Encode many ascending runs — the batch entry point.
+    def _render_bytes(self, values: np.ndarray) -> np.ndarray:
+        """``(n, m)`` uint8 matrix: fixed-width rendering of ordinals."""
+        out = np.empty((len(values), self._layout.tuple_bytes), dtype=np.uint8)
+        for col, (weight, size, shift) in enumerate(
+            zip(self._col_weight, self._col_size, self._col_shift)
+        ):
+            digit = (values // weight) % size
+            out[:, col] = (digit >> shift) & 0xFF
+        return out
 
-        Index-aligned with ``runs``; composes with the
-        :class:`~repro.core.parallel.ParallelBlockCodec` chunk fan-out
-        (each worker calls this over its chunk).
+    def _render_run(self, run: np.ndarray, u: int) -> bytes:
+        """The payload bytes of a non-empty ascending run.
+
+        Every gap's mixed-radix digits, fixed-width fields and
+        leading-zero elision are computed at once on ``(u - 1, m)``
+        uint8 matrices, then scattered into the output buffer with index
+        arithmetic.
         """
-        return [self.encode_run(run, capacity) for run in runs]
+        m = self._layout.tuple_bytes
+        rep = (u - 1) // 2
+        rep_bytes = self._render_bytes(run[rep : rep + 1])[0]
+        if u == 1:
+            header = u.to_bytes(2, "big") + rep.to_bytes(2, "big")
+            return header + rep_bytes.tobytes()
+
+        gaps = np.diff(run)
+        zeros = self.leading_zero_bytes(gaps)
+        tail_len = m - zeros
+        matrix = self._render_bytes(gaps)
+
+        entry_len = 1 + tail_len
+        base = HEADER_BYTES + m
+        out = np.zeros(base + int(entry_len.sum()), dtype=np.uint8)
+        out[0] = (u >> 8) & 0xFF
+        out[1] = u & 0xFF
+        out[2] = (rep >> 8) & 0xFF
+        out[3] = rep & 0xFF
+        out[HEADER_BYTES:base] = rep_bytes
+
+        entry_off = base + np.concatenate(
+            [[0], np.cumsum(entry_len)[:-1]]
+        ).astype(np.int64)
+        out[entry_off] = zeros.astype(np.uint8)
+
+        total_tail = int(tail_len.sum())
+        if total_tail:
+            row_idx = np.repeat(np.arange(u - 1), tail_len)
+            starts = np.concatenate([[0], np.cumsum(tail_len)[:-1]])
+            seq = np.arange(total_tail) - np.repeat(starts, tail_len)
+            col_idx = np.repeat(zeros, tail_len) + seq
+            dest = np.repeat(entry_off + 1, tail_len) + seq
+            out[dest] = matrix[row_idx, col_idx]
+        return out.tobytes()
 
     def encode_tuples(
         self,
@@ -332,12 +462,6 @@ class VectorizedBlockCodec:
         """Decode one payload to a plain list of phi ordinals."""
         out: List[int] = self.decode_ordinals_array(data).tolist()
         return out
-
-    def decode_blocks(
-        self, payloads: Sequence[bytes]
-    ) -> List[List[Tuple[int, ...]]]:
-        """Decode many payloads — the batch entry point (index-aligned)."""
-        return [self.decode_block(p) for p in payloads]
 
     # ------------------------------------------------------------------
     # Payload parsing (the vectorised half the scalar codec lacked)
@@ -465,7 +589,7 @@ class VectorizedBlockCodec:
         Scatters every tail byte into a right-aligned ``(k, m)`` uint8
         matrix (leading zeros implicit) and contracts it against the
         per-column byte weights — the exact inverse of
-        ``FastBlockEncoder``'s rendering.
+        the encoder's :meth:`_render_bytes`.
         """
         matrix = np.zeros((k, m), dtype=np.uint8)
         total_tail = int(tail_len.sum())
@@ -486,14 +610,32 @@ class VectorizedBlockCodec:
         return matrix.astype(np.int64) @ self._byte_weights
 
 
+def numpy_packer_for(codec: "BlockCodec") -> Optional[VectorizedBlockCodec]:
+    """The numpy boundary packer for ``codec``, or ``None`` for the scalar one.
+
+    The one rule for computing block boundaries in numpy: chained
+    differences over an ordinal space that fits int64.  A chained block
+    stores exactly its consecutive gaps, so its size — and therefore
+    every boundary — does not depend on the representative strategy.
+    Codecs that are not chained in the packer's sense (un-chained
+    ablations, ``GolombBlockCodec``) keep the exact scalar packer.
+    """
+    if not (codec.chained and codec.mapper.fits_int64):
+        return None
+    vec: Optional[VectorizedBlockCodec] = getattr(codec, "vector_codec", None)
+    if vec is None:
+        vec = VectorizedBlockCodec(codec.mapper.domain_sizes)
+    return vec
+
+
 def vectorized_codec_for(
     codec: "BlockCodec",
 ) -> Optional[VectorizedBlockCodec]:
     """The chooser: a vectorised companion for ``codec``, or ``None``.
 
-    Eligibility is the established ``fastpack`` fallback rule — the
-    paper's default configuration (chained differences, median
-    representative) over an ordinal space that fits safely in int64.
+    Eligibility is the paper's default configuration (chained
+    differences, median representative) over an ordinal space that fits
+    safely in int64 — the :func:`numpy_packer_for` rule plus the median.
     Anything else (ablation strategies, un-chained differencing, wide
     schemas) keeps the exact scalar path.
     """

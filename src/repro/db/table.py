@@ -175,7 +175,6 @@ class Table:
         secondary_on: Sequence[str] = (),
         buffer_capacity: Optional[int] = None,
         decoded_cache_capacity: Optional[int] = None,
-        workers: Optional[int] = None,
         durable_path: Optional[str] = None,
         wal_sync: bool = True,
         degraded_reads: str = "raise",
@@ -183,9 +182,8 @@ class Table:
     ) -> "Table":
         """Materialise a relation and build the requested indices.
 
-        ``workers`` parallelises the block-coding of a compressed table
-        (see :meth:`AVQFile.build`); ``decoded_cache_capacity`` adds an
-        LRU cache of decoded blocks so repeated lookups skip decoding.
+        ``decoded_cache_capacity`` adds an LRU cache of decoded blocks so
+        repeated lookups skip decoding.
 
         ``durable_path`` opens a write-ahead log at that path: every
         mutation is logged, transaction commit forces the log, and
@@ -207,16 +205,10 @@ class Table:
                 "are read-only baselines)"
             )
         if compressed:
-            storage: StorageFile = AVQFile.build(
-                relation, disk, codec=codec, workers=workers
-            )
+            storage: StorageFile = AVQFile.build(relation, disk, codec=codec)
         else:
             if codec is not None:
                 raise QueryError("codec is only meaningful for compressed tables")
-            if workers is not None:
-                raise QueryError(
-                    "workers is only meaningful for compressed tables"
-                )
             storage = HeapFile.build(relation, disk, sort=True)
         wal: Optional[WriteAheadLog] = None
         if durable_path is not None:

@@ -25,9 +25,7 @@ from repro.experiments.fig58 import (
 )
 from repro.experiments.fig59 import (
     CodecTimings,
-    ParallelCodecTimings,
     measure_local_codec,
-    measure_parallel_codec,
     measured_response_table,
     paper_response_table,
 )
@@ -35,7 +33,6 @@ from repro.experiments.reporting import (
     format_fig57,
     format_fig58,
     format_fig59,
-    format_parallel_codec,
     format_table,
 )
 from repro.experiments.worked_example import (
@@ -62,16 +59,13 @@ __all__ = [
     "build_fig58_relation",
     "run_figure_58",
     "CodecTimings",
-    "ParallelCodecTimings",
     "measure_local_codec",
-    "measure_parallel_codec",
     "paper_response_table",
     "measured_response_table",
     "format_table",
     "format_fig57",
     "format_fig58",
     "format_fig59",
-    "format_parallel_codec",
     "PAPER_DOMAIN_SIZES",
     "PAPER_BLOCK_TUPLES",
     "paper_ordinals",

@@ -18,7 +18,6 @@ from repro.experiments.fig57 import run_figure_57
 from repro.experiments.fig58 import run_figure_58
 from repro.experiments.fig59 import (
     measure_local_codec,
-    measure_parallel_codec,
     measured_response_table,
     paper_response_table,
 )
@@ -26,7 +25,6 @@ from repro.experiments.reporting import (
     format_fig57,
     format_fig58,
     format_fig59,
-    format_parallel_codec,
 )
 
 
@@ -86,14 +84,6 @@ def main(argv=None) -> int:
         f"{timings.block_bytes} coded bytes"
     )
     print(format_fig59(measured_response_table(fig58, local=timings.profile)))
-
-    print()
-    print("=" * 72)
-    print("Parallel codec — whole-relation coding, serial vs pooled")
-    print("=" * 72)
-    print(format_parallel_codec(measure_parallel_codec(
-        num_tuples=timing_tuples
-    )))
 
     if args.ablations:
         from repro.experiments.ablations import run_ablations

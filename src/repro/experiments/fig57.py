@@ -18,7 +18,7 @@ formula) and also reports the non-AVQ baselines for context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.baselines.avq import AVQBaseline
 from repro.baselines.nocoding import NaturalWidthBaseline, NoCodingBaseline
@@ -134,13 +134,10 @@ def run_compression_test(
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> CompressionResult:
     """Generate one relation and measure its block footprint under each coder."""
     relation = generate_relation(_spec_for(test, num_tuples, seed))
-    return measure_relation(
-        relation, test, block_size=block_size, workers=workers
-    )
+    return measure_relation(relation, test, block_size=block_size)
 
 
 def measure_relation(
@@ -148,30 +145,12 @@ def measure_relation(
     test: TestConfig,
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: Optional[int] = None,
 ) -> CompressionResult:
-    """Block footprints of one already-generated relation.
-
-    With ``workers`` set, the AVQ cell is measured by *materialising*
-    every coded block through :func:`repro.core.parallel.encode_blocks`
-    (0 = all cores) instead of the sizing-only scan — same count, but
-    the sweep then exercises and times the production encode path.
-    """
+    """Block footprints of one already-generated relation."""
     sizes = relation.schema.domain_sizes
     uncoded = NaturalWidthBaseline(sizes).blocks_needed(relation, block_size)
     packed = NoCodingBaseline(sizes).blocks_needed(relation, block_size)
-    if workers is not None:
-        from repro.core.codec import BlockCodec
-        from repro.core.parallel import encode_blocks
-        from repro.storage.packer import pack_runs
-
-        codec = BlockCodec(sizes)
-        runs = pack_runs(codec, relation.phi_ordinals(), block_size)
-        coded = len(
-            encode_blocks(codec, runs, workers=workers, capacity=block_size)
-        )
-    else:
-        coded = AVQBaseline(sizes).blocks_needed(relation, block_size)
+    coded = AVQBaseline(sizes).blocks_needed(relation, block_size)
     raw_rle = RawRLEBaseline(sizes).blocks_needed(relation, block_size)
     return CompressionResult(
         test=test,
@@ -189,7 +168,6 @@ def run_figure_57(
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> List[CompressionResult]:
     """The full Figure 5.7 sweep: every test at every relation size."""
     out: List[CompressionResult] = []
@@ -200,7 +178,6 @@ def run_figure_57(
                     test, n,
                     block_size=block_size,
                     seed=seed + test.number,
-                    workers=workers,
                 )
             )
     return out

@@ -20,8 +20,8 @@ formula, not the typo (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.core.codec import BlockCodec
 from repro.experiments.fig58 import (
@@ -46,9 +46,7 @@ __all__ = [
     "PAPER_DATA_BLOCKS_UNCODED",
     "PAPER_DATA_BLOCKS_CODED",
     "CodecTimings",
-    "ParallelCodecTimings",
     "measure_local_codec",
-    "measure_parallel_codec",
     "paper_response_table",
     "measured_response_table",
 ]
@@ -109,126 +107,6 @@ def measure_local_codec(
         profile=profile,
         tuples_per_block=len(tuples),
         block_bytes=len(encoded),
-    )
-
-
-@dataclass(frozen=True)
-class ParallelCodecTimings:
-    """Whole-relation coding throughput, serial versus the worker pool.
-
-    The Figure 5.9 rows time one block; bulk (re)compression of a whole
-    relation is where parallelism pays, so this measures the full batch.
-    Speedups can dip below 1.0 on single-core hosts — pool and pickling
-    overhead with nothing to overlap — which is itself a result worth
-    reporting.
-    """
-
-    workers: int
-    num_blocks: int
-    num_tuples: int
-    serial_encode_ms: float
-    parallel_encode_ms: float
-    serial_decode_ms: float
-    parallel_decode_ms: float
-    #: Per-stage codec metrics harvested from the scoped observability
-    #: registry during the measurement (docs/OBSERVABILITY.md): histogram
-    #: totals/means for ``codec.encode_ms``/``codec.decode_ms`` and the
-    #: block counters.  Only the serial passes contribute per-block
-    #: samples — worker processes do not report back (see
-    #: :mod:`repro.core.parallel`) — so the breakdown decomposes the
-    #: serial wall times above.
-    stage_breakdown: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def encode_speedup(self) -> float:
-        """Serial over parallel encode wall time (>1 means faster)."""
-        if self.parallel_encode_ms == 0.0:
-            return 0.0
-        return self.serial_encode_ms / self.parallel_encode_ms
-
-    @property
-    def decode_speedup(self) -> float:
-        """Serial over parallel decode wall time (>1 means faster)."""
-        if self.parallel_decode_ms == 0.0:
-            return 0.0
-        return self.serial_decode_ms / self.parallel_decode_ms
-
-
-def measure_parallel_codec(
-    relation: Optional[Relation] = None,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 0,
-    num_tuples: int = 20_000,
-    seed: int = 0,
-) -> ParallelCodecTimings:
-    """Time whole-relation encode/decode serially and through the pool.
-
-    Uses the same Section 5.2 relation as :func:`measure_local_codec`,
-    packs it once, then codes the full batch both ways
-    (``workers=0`` resolves to every core).  The parallel payloads are
-    checked byte-for-byte against the serial ones before timings are
-    reported — a speedup on wrong bytes is no speedup.
-
-    Timing runs through a scoped observability session
-    (:func:`repro.obs.runtime.scoped`) rather than an ad-hoc timer: the
-    four stages are spans, wall times come from
-    :meth:`~repro.obs.tracing.Tracer.stage_totals`, and the registry's
-    per-block codec histograms are returned as
-    :attr:`ParallelCodecTimings.stage_breakdown`.
-    """
-    from repro.core.parallel import ParallelBlockCodec
-    from repro.errors import CodecError
-    from repro.obs import runtime
-    from repro.storage.packer import pack_runs
-
-    if relation is None:
-        relation = generate_relation(paper_timing_spec(num_tuples, seed=seed))
-    codec = BlockCodec(relation.schema.domain_sizes)
-    runs = pack_runs(codec, relation.phi_ordinals(), block_size)
-
-    with runtime.scoped() as (registry, tracer):
-        with ParallelBlockCodec(codec, workers=1) as serial:
-            with runtime.span("serial-encode"):
-                expected = serial.encode_blocks(runs, capacity=block_size)
-            with runtime.span("serial-decode"):
-                serial.decode_blocks(expected)
-        with ParallelBlockCodec(codec, workers=workers) as pool:
-            with runtime.span("parallel-encode"):
-                payloads = pool.encode_blocks(runs, capacity=block_size)
-            if payloads != expected:
-                raise CodecError(
-                    "parallel encode diverged from the serial payloads"
-                )
-            with runtime.span("parallel-decode"):
-                pool.decode_blocks(payloads)
-            resolved = pool.workers
-        totals = tracer.stage_totals()
-        breakdown: Dict[str, float] = {}
-        for name in ("codec.encode_ms", "codec.decode_ms"):
-            histogram = registry.get(name)
-            if histogram is not None:
-                breakdown[name + ".total"] = histogram.sum
-                breakdown[name + ".mean"] = histogram.mean
-        for name in (
-            "codec.blocks_encoded",
-            "codec.blocks_decoded",
-            "parallel.runs_encoded",
-            "parallel.payloads_decoded",
-        ):
-            counter = registry.get(name)
-            if counter is not None:
-                breakdown[name] = float(counter.value)
-
-    return ParallelCodecTimings(
-        workers=resolved,
-        num_blocks=len(runs),
-        num_tuples=len(relation),
-        serial_encode_ms=totals.get("serial-encode", 0.0),
-        parallel_encode_ms=totals.get("parallel-encode", 0.0),
-        serial_decode_ms=totals.get("serial-decode", 0.0),
-        parallel_decode_ms=totals.get("parallel-decode", 0.0),
-        stage_breakdown=breakdown,
     )
 
 

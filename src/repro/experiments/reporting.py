@@ -11,7 +11,6 @@ from typing import List, Sequence
 
 from repro.experiments.fig57 import CompressionResult
 from repro.experiments.fig58 import Fig58Result
-from repro.experiments.fig59 import ParallelCodecTimings
 from repro.perf.costmodel import ResponseTimeRow
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "format_fig57",
     "format_fig58",
     "format_fig59",
-    "format_parallel_codec",
 ]
 
 
@@ -104,35 +102,3 @@ def format_fig59(rows: List[ResponseTimeRow]) -> str:
         for i, (label, extract) in enumerate(labels)
     ]
     return format_table(headers, table_rows)
-
-
-def format_parallel_codec(t: ParallelCodecTimings) -> str:
-    """Serial versus pooled whole-relation coding, plus the per-stage
-    breakdown harvested from the scoped observability registry."""
-    headers = ["stage", "serial ms", "parallel ms", "speedup"]
-    rows = [
-        [
-            "encode",
-            f"{t.serial_encode_ms:.1f}",
-            f"{t.parallel_encode_ms:.1f}",
-            f"{t.encode_speedup:.2f}x",
-        ],
-        [
-            "decode",
-            f"{t.serial_decode_ms:.1f}",
-            f"{t.parallel_decode_ms:.1f}",
-            f"{t.decode_speedup:.2f}x",
-        ],
-    ]
-    lines = [
-        f"{t.num_blocks} blocks, {t.num_tuples} tuples, "
-        f"{t.workers} worker(s)",
-        format_table(headers, rows),
-    ]
-    if t.stage_breakdown:
-        lines.append("per-stage registry breakdown (serial passes):")
-        width = max(len(name) for name in t.stage_breakdown)
-        for name in sorted(t.stage_breakdown):
-            value = t.stage_breakdown[name]
-            lines.append(f"  {name.ljust(width)}  {value:10.3f}")
-    return "\n".join(lines)

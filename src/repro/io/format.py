@@ -39,7 +39,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.codec import BlockCodec
 from repro.errors import CorruptionError, QuarantinedBlockError, StorageError
@@ -48,7 +48,7 @@ from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.storage.block import DEFAULT_BLOCK_SIZE
-from repro.storage.packer import pack_ordinals
+from repro.storage.packer import pack_runs
 
 __all__ = ["write_avq_file", "AVQFileReader", "read_avq_file"]
 
@@ -72,27 +72,17 @@ def write_avq_file(
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     codec: Optional[BlockCodec] = None,
-    workers: Optional[int] = None,
 ) -> Dict[str, int]:
     """Compress a relation into an ``.avq`` container at ``path``.
 
     Returns a summary dict (blocks, payload bytes, file bytes) so callers
     can report the compression achieved.
-
-    ``workers`` fans block coding out to a process pool
-    (:mod:`repro.core.parallel`): ``None`` encodes in-process, ``0``
-    uses every core, ``n`` uses exactly ``n``.  The container is
-    byte-identical in all modes.
     """
     codec = codec or BlockCodec(relation.schema.domain_sizes)
     if codec.mapper.domain_sizes != relation.schema.domain_sizes:
         raise StorageError("codec domain sizes do not match the schema")
-    with _obs.span(
-        "io.write_avq", path=path, tuples=len(relation), workers=workers
-    ):
-        summary = _write_avq_file(
-            path, relation, codec, block_size=block_size, workers=workers
-        )
+    with _obs.span("io.write_avq", path=path, tuples=len(relation)):
+        summary = _write_avq_file(path, relation, codec, block_size=block_size)
     reg = _obs.REGISTRY
     if reg is not None:
         reg.inc("io.containers_written")
@@ -107,46 +97,30 @@ def _write_avq_file(
     codec: BlockCodec,
     *,
     block_size: int,
-    workers: Optional[int],
 ) -> Dict[str, int]:
     """The :func:`write_avq_file` body, minus validation and telemetry."""
     ordinals = relation.phi_ordinals()
 
     payloads: List[bytes] = []
     directory: List[List[Union[int, str]]] = []
+    runs: Sequence[Sequence[int]]
     vec = codec.vector_codec if ordinals else None
-    runs: List[List[int]] = []
     if vec is not None:
         import numpy as np
 
-        from repro.core.fastpack import fast_pack_boundaries
-
         arr = np.asarray(ordinals, dtype=np.int64)
-        sizes = relation.schema.domain_sizes
-        boundaries = fast_pack_boundaries(arr, sizes, block_size)
+        boundaries = vec.pack_boundaries(arr, block_size)
         runs = [ordinals[start:end] for start, end in boundaries]
-        if workers is None:
-            with _obs.span(
-                "codec.encode", blocks=len(runs), path="vector"
-            ):
-                payloads = [
-                    vec.encode_run(arr[start:end])
-                    for start, end in boundaries
-                ]
+        with _obs.span("codec.encode", blocks=len(runs), path="vector"):
+            payloads = [
+                vec.encode_run(arr[start:end]) for start, end in boundaries
+            ]
     else:
-        partition = pack_ordinals(codec, ordinals, block_size)
-        runs = [list(run) for run in partition.blocks]
-        if workers is None:
-            with _obs.span(
-                "codec.encode", blocks=len(runs), path="scalar"
-            ):
-                for run in runs:
-                    tuples = [codec.mapper.phi_inverse(o) for o in run]
-                    payloads.append(codec.encode_block(tuples))
-    if workers is not None and runs:
-        from repro.core.parallel import encode_blocks
-
-        payloads = encode_blocks(codec, runs, workers=workers)
+        runs = pack_runs(codec, ordinals, block_size)
+        with _obs.span("codec.encode", blocks=len(runs), path="scalar"):
+            for run in runs:
+                tuples = [codec.mapper.phi_inverse(o) for o in run]
+                payloads.append(codec.encode_block(tuples))
     for run, payload in zip(runs, payloads):
         directory.append(
             [len(payload), len(run), str(run[0]), zlib.crc32(payload)]
@@ -375,9 +349,8 @@ class AVQFileReader:
     def read_payload(self, position: int) -> bytes:
         """Raw CRC-verified payload of one block, without decoding.
 
-        The feed for out-of-process decoding: hand payloads to
-        :func:`repro.core.parallel.decode_blocks` and only the cheap
-        byte reads happen under the reader's file handle.
+        :meth:`read_block` decodes what this returns; quarantined
+        blocks raise instead of being read.
         """
         entry = self._entry(position)
         reason = self._quarantined.get(position)

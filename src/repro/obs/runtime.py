@@ -4,8 +4,8 @@ Observability is **off by default**: ``REGISTRY`` and ``TRACER`` are
 ``None``, and every instrumented call site guards with one module
 attribute load plus an ``is None`` test before doing anything else.
 That guard is the entire disabled-mode cost — the acceptance bar is a
-< 5 % throughput delta on the parallel-codec benchmark, and a pointer
-compare per *block* operation is far below it.
+< 5 % throughput delta on the codec benchmarks, and a pointer compare
+per *block* operation is far below it.
 
 Enable explicitly::
 
@@ -20,10 +20,8 @@ or scoped (tests, experiment drivers, the CLI)::
     with runtime.scoped() as (registry, tracer):
         ...
 
-Worker processes spawned by :mod:`repro.core.parallel` inherit the
-*default* (disabled) state — their metrics are not merged back.  The
-serial paths of the same operations are fully instrumented, which is
-what the per-stage breakdowns report (docs/OBSERVABILITY.md).
+Every codec path runs in-process, so every block operation reports to
+the one registry (docs/OBSERVABILITY.md).
 
 ``now_ms`` wraps ``time.perf_counter`` so instrumented modules never
 touch the wall clock themselves — lint rule R008 confines raw clock

@@ -264,9 +264,9 @@ class Tracer:
     def stage_totals(self) -> Dict[str, float]:
         """``{span name: summed duration_ms}`` over retained spans.
 
-        The :class:`~repro.perf.timer.StageTimer`-compatible view: the
-        fig59 driver and the CLI report per-stage totals from here
-        instead of threading a timer object through every call.
+        Per-stage wall time of a multi-phase run: bracket each stage in
+        a span and read the totals here, instead of threading a timer
+        object through every call.
         """
         totals: Dict[str, float] = {}
         with self._latch:

@@ -27,7 +27,7 @@ from repro.perf.simulation import (
     predicted_workload_cost,
     simulate_workload,
 )
-from repro.perf.timer import StageTimer, Stopwatch, mean_time_ms
+from repro.perf.timer import mean_time_ms
 
 __all__ = [
     "PAPER_T1_MS",
@@ -44,8 +44,6 @@ __all__ = [
     "PAPER_MACHINES",
     "calibrated_profile",
     "mean_time_ms",
-    "StageTimer",
-    "Stopwatch",
     "WorkloadCost",
     "simulate_workload",
     "predicted_workload_cost",

@@ -16,11 +16,7 @@ from repro.storage.avqfile import AVQFile
 from repro.storage.block import DEFAULT_BLOCK_SIZE, Block
 from repro.storage.buffer import BufferPool, BufferStats, DecodedBlockCache
 from repro.storage.disk import DiskModel, DiskStats, SimulatedDisk
-from repro.storage.extsort import (
-    PARALLEL_BATCH_RUNS,
-    bulk_load,
-    external_sort_ordinals,
-)
+from repro.storage.extsort import bulk_load, external_sort_ordinals
 from repro.storage.faults import (
     CRASH_MODES,
     FaultInjector,
@@ -74,7 +70,6 @@ __all__ = [
     "pack_runs",
     "HeapFile",
     "AVQFile",
-    "PARALLEL_BATCH_RUNS",
     "external_sort_ordinals",
     "bulk_load",
     "CRASH_MODES",

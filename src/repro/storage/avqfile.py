@@ -66,35 +66,21 @@ class AVQFile:
         disk: SimulatedDisk,
         *,
         codec: Optional[BlockCodec] = None,
-        workers: Optional[int] = None,
     ) -> "AVQFile":
         """Sort, pack, code, and write a relation to ``disk``.
 
-        The default codec configuration (chained, median representative)
+        Packing takes the numpy boundary scan whenever
+        :func:`~repro.core.vectorized.numpy_packer_for` allows it, and
+        the default codec configuration (chained, median representative)
         takes the vectorised encode path when the ordinal space fits
         int64; the output is byte-identical to the scalar path
         (property-tested in ``tests/core/test_fastpack.py``).
-
-        ``workers`` fans block coding out to a process pool via
-        :mod:`repro.core.parallel` — ``None`` keeps the in-process
-        serial path, ``0`` uses every core, ``n`` uses exactly ``n``.
-        The written blocks are byte-identical either way; packing always
-        happens in-process (it is a sequential scan).
         """
         f = cls(relation.schema, disk, codec=codec)
         ordinals = relation.phi_ordinals()
         if not ordinals:
             return f
         runs = f._pack_runs(ordinals)
-        if workers is not None:
-            from repro.core.parallel import encode_blocks
-
-            payloads = encode_blocks(
-                f._codec, runs, workers=workers, capacity=disk.block_size
-            )
-            for run, payload in zip(runs, payloads):
-                f._append_encoded(run, payload)
-            return f
         # Duck-typed alternative codecs (e.g. GolombBlockCodec) have no
         # vectorised companion; they take the scalar loop below.
         vec = getattr(f._codec, "vector_codec", None)
@@ -190,7 +176,7 @@ class AVQFile:
     def _append_encoded(
         self, ordinals: Sequence[int], payload: bytes
     ) -> None:
-        """Append a run whose payload was already encoded (parallel path)."""
+        """Append a run whose payload was already encoded."""
         block_id = self._disk.append_block(payload)
         self._block_ids.append(block_id)
         self._block_min.append(ordinals[0])

@@ -29,7 +29,7 @@ from repro.relational.schema import Schema
 from repro.storage.avqfile import AVQFile
 from repro.storage.disk import SimulatedDisk
 
-__all__ = ["PARALLEL_BATCH_RUNS", "external_sort_ordinals", "bulk_load"]
+__all__ = ["external_sort_ordinals", "bulk_load"]
 
 
 class _RunWriter:
@@ -110,12 +110,6 @@ def external_sort_ordinals(
     yield from heapq.merge(*streams)
 
 
-#: Runs buffered per parallel encode batch during bulk load.  The batch
-#: is the memory ceiling of the parallel path (at most this many packed
-#: runs held decoded at once) and the unit handed to the worker pool.
-PARALLEL_BATCH_RUNS = 64
-
-
 def bulk_load(
     schema: Schema,
     tuples: Iterable,
@@ -124,7 +118,6 @@ def bulk_load(
     memory_budget: int = 100_000,
     spill_disk: Optional[SimulatedDisk] = None,
     codec: Optional[BlockCodec] = None,
-    workers: Optional[int] = None,
 ) -> AVQFile:
     """Build an AVQ file from a tuple stream with bounded memory.
 
@@ -132,13 +125,6 @@ def bulk_load(
     a source file, for instance).  Sorting spills to ``spill_disk`` (its
     own scratch disk by default), and the phi-sorted stream is packed and
     coded block by block onto ``data_disk``.
-
-    ``workers`` fans block coding out to a process pool
-    (:mod:`repro.core.parallel`): runs are buffered in batches of
-    :data:`PARALLEL_BATCH_RUNS` and encoded together, keeping memory
-    bounded while the pool stays busy.  ``None`` keeps the serial
-    one-run-at-a-time path; ``0`` uses every core.  Written blocks are
-    byte-identical in all modes.
     """
     codec = codec or BlockCodec(schema.domain_sizes)
     if codec.mapper.domain_sizes != schema.domain_sizes:
@@ -171,56 +157,21 @@ def bulk_load(
             f"block size {block_size} cannot hold even one tuple"
         )
 
-    if workers is None:
-        current: List[int] = []
-        current_size = 0
-        for ordinal in sorted_ordinals:
-            if not current:
-                current = [ordinal]
-                current_size = min_block
-                continue
-            cost = codec.incremental_gap_cost(ordinal - current[-1])
-            if current_size + cost <= block_size:
-                current.append(ordinal)
-                current_size += cost
-            else:
-                out._append_run(current)
-                current = [ordinal]
-                current_size = min_block
-        if current:
+    current: List[int] = []
+    current_size = 0
+    for ordinal in sorted_ordinals:
+        if not current:
+            current = [ordinal]
+            current_size = min_block
+            continue
+        cost = codec.incremental_gap_cost(ordinal - current[-1])
+        if current_size + cost <= block_size:
+            current.append(ordinal)
+            current_size += cost
+        else:
             out._append_run(current)
-        return out
-
-    from repro.core.parallel import ParallelBlockCodec
-
-    with ParallelBlockCodec(codec, workers=workers) as pcodec:
-        batch: List[List[int]] = []
-
-        def flush() -> None:
-            payloads = pcodec.encode_blocks(batch, capacity=block_size)
-            for run, payload in zip(batch, payloads):
-                out._append_encoded(run, payload)
-            batch.clear()
-
-        run_buf: List[int] = []
-        run_size = 0
-        for ordinal in sorted_ordinals:
-            if not run_buf:
-                run_buf = [ordinal]
-                run_size = min_block
-                continue
-            cost = codec.incremental_gap_cost(ordinal - run_buf[-1])
-            if run_size + cost <= block_size:
-                run_buf.append(ordinal)
-                run_size += cost
-            else:
-                batch.append(run_buf)
-                if len(batch) >= PARALLEL_BATCH_RUNS:
-                    flush()
-                run_buf = [ordinal]
-                run_size = min_block
-        if run_buf:
-            batch.append(run_buf)
-        if batch:
-            flush()
+            current = [ordinal]
+            current_size = min_block
+    if current:
+        out._append_run(current)
     return out

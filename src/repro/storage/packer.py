@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Union
 
+import numpy as np
+
 from repro.core.codec import HEADER_BYTES, BlockCodec
+from repro.core.vectorized import numpy_packer_for
 from repro.errors import BlockOverflowError, StorageError
 from repro.obs import runtime as _obs
 from repro.obs.snapshot import snapshot_dataclass
@@ -194,33 +197,22 @@ def pack_runs(
     sorted_ordinals: Sequence[int],
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> List[Sequence[int]]:
-    """Per-block ordinal runs only, taking the vectorised path if it applies.
+    """Per-block ordinal runs only, taking the numpy packer if it applies.
 
-    The partition is identical to :func:`pack_ordinals`; codecs eligible
-    for the numpy boundary scan (chained, median representative, int64
-    ordinal space) skip the per-tuple Python loop.  This is the packing
-    front half of the parallel encode pipeline — runs go straight to
-    :func:`repro.core.parallel.encode_blocks`.
+    The partition is identical to :func:`pack_ordinals`; codecs that
+    pass :func:`~repro.core.vectorized.numpy_packer_for` (chained, int64
+    ordinal space) skip the per-tuple Python loop.
     """
     if not sorted_ordinals:
         return []
-    if (
-        codec.chained
-        and getattr(codec, "representative_strategy", None) == "median"
-        and codec.mapper.fits_int64
-    ):
-        import numpy as np
-
-        from repro.core.fastpack import fast_pack_boundaries
-
-        arr = np.asarray(sorted_ordinals, dtype=np.int64)
-        return [
-            sorted_ordinals[start:end]
-            for start, end in fast_pack_boundaries(
-                arr, codec.mapper.domain_sizes, block_size
-            )
-        ]
-    return list(pack_ordinals(codec, sorted_ordinals, block_size).blocks)
+    packer = numpy_packer_for(codec)
+    if packer is None:
+        return list(pack_ordinals(codec, sorted_ordinals, block_size).blocks)
+    arr = np.asarray(sorted_ordinals, dtype=np.int64)
+    return [
+        sorted_ordinals[start:end]
+        for start, end in packer.pack_boundaries(arr, block_size)
+    ]
 
 
 def pack_relation(

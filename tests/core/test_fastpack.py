@@ -1,4 +1,5 @@
-"""The numpy fast path must agree exactly with the scalar codec/packer."""
+"""The numpy gap sizer, packer and encoder must agree exactly with the
+scalar codec and packer (:mod:`repro.core.vectorized`)."""
 
 import random
 
@@ -8,16 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.codec import BlockCodec
-from repro.core.fastpack import (
-    FastBlockEncoder,
-    FastGapSizer,
-    fast_blocks_needed,
-    fast_encode_relation,
-    fast_pack_boundaries,
-)
 from repro.core.runlength import TupleLayout
+from repro.core.vectorized import VectorizedBlockCodec, numpy_packer_for
 from repro.errors import DomainError, StorageError
-from repro.storage.packer import pack_ordinals
+from repro.storage.packer import pack_ordinals, pack_runs
+
+
+def pack_boundaries(ordinals, sizes, block_size):
+    return VectorizedBlockCodec(sizes).pack_boundaries(
+        np.asarray(ordinals), block_size
+    )
+
+
+def encode_relation(ordinals, sizes, block_size):
+    """Pack and encode a whole phi-sorted relation on the numpy path."""
+    vec = VectorizedBlockCodec(sizes)
+    arr = np.asarray(ordinals, dtype=np.int64)
+    return [
+        vec.encode_run(arr[s:e])
+        for s, e in vec.pack_boundaries(arr, block_size)
+    ]
 
 
 def scalar_leading_zeros(layout, mapper, gap):
@@ -42,9 +53,9 @@ class TestFastGapSizer:
         ],
     )
     def test_matches_scalar_leading_zeros(self, sizes):
-        sizer = FastGapSizer(sizes)
+        sizer = VectorizedBlockCodec(sizes)
         layout = TupleLayout(sizes)
-        mapper = sizer._mapper
+        mapper = sizer.mapper
         rng = random.Random(1)
         gaps = [0, 1, mapper.space_size - 1] + [
             rng.randrange(mapper.space_size) for _ in range(500)
@@ -55,7 +66,7 @@ class TestFastGapSizer:
 
     def test_rle_costs_match_codec(self):
         sizes = [8, 16, 64, 64, 64]
-        sizer = FastGapSizer(sizes)
+        sizer = VectorizedBlockCodec(sizes)
         codec = BlockCodec(sizes)
         rng = random.Random(2)
         gaps = [rng.randrange(codec.mapper.space_size) for _ in range(300)]
@@ -65,10 +76,10 @@ class TestFastGapSizer:
 
     def test_rejects_oversized_space(self):
         with pytest.raises(DomainError):
-            FastGapSizer([2**32, 2**32, 16])
+            VectorizedBlockCodec([2**32, 2**32, 16])
 
     def test_rejects_out_of_space_gaps(self):
-        sizer = FastGapSizer([4, 4])
+        sizer = VectorizedBlockCodec([4, 4])
         with pytest.raises(DomainError):
             sizer.leading_zero_bytes(np.array([16]))
         with pytest.raises(DomainError):
@@ -85,7 +96,7 @@ class TestFastPacking:
             rng.randrange(codec.mapper.space_size) for _ in range(2000)
         )
         exact = pack_ordinals(codec, ordinals, block_size)
-        fast = fast_pack_boundaries(np.asarray(ordinals), sizes, block_size)
+        fast = pack_boundaries(ordinals, sizes, block_size)
         fast_runs = [ordinals[s:e] for s, e in fast]
         assert fast_runs == exact.blocks
 
@@ -97,39 +108,56 @@ class TestFastPacking:
             rng.randrange(codec.mapper.space_size) for _ in range(5000)
         )
         exact = pack_ordinals(codec, ordinals, 512).stats.num_blocks
-        assert fast_blocks_needed(np.asarray(ordinals), sizes, 512) == exact
+        assert len(pack_boundaries(ordinals, sizes, 512)) == exact
 
     def test_duplicates(self):
         sizes = [8, 8]
-        assert fast_blocks_needed(np.asarray([5] * 100), sizes, 32) == (
+        assert len(pack_boundaries([5] * 100, sizes, 32)) == (
             pack_ordinals(BlockCodec(sizes), [5] * 100, 32).stats.num_blocks
         )
 
     def test_empty_input(self):
-        assert fast_pack_boundaries(np.empty(0, np.int64), [4, 4], 64) == []
+        assert pack_boundaries(np.empty(0, np.int64), [4, 4], 64) == []
 
     def test_unsorted_rejected(self):
         with pytest.raises(StorageError):
-            fast_pack_boundaries(np.array([5, 3]), [4, 4], 64)
+            pack_boundaries(np.array([5, 3]), [4, 4], 64)
 
     def test_tiny_block_rejected(self):
         with pytest.raises(StorageError):
-            fast_pack_boundaries(np.array([1]), [4, 4], 4)
+            pack_boundaries(np.array([1]), [4, 4], 4)
+
+
+#: Codec configurations the boundary-identity property runs over: the
+#: paper's default, a non-median representative (numpy packer, scalar
+#: encoder) and an unchained ablation (scalar packer).
+PACKING_CONFIGS = [
+    {},
+    {"representative": "first"},
+    {"chained": False},
+]
 
 
 @given(
     st.lists(st.integers(2, 200), min_size=1, max_size=5),
     st.integers(0, 10**6),
     st.integers(24, 200),
+    st.sampled_from(PACKING_CONFIGS),
 )
-@settings(max_examples=80, deadline=None)
-def test_property_fast_equals_exact(sizes, seed, block_size):
-    codec = BlockCodec(sizes)
+@settings(max_examples=120, deadline=None)
+def test_property_fast_equals_exact(sizes, seed, block_size, config):
+    codec = BlockCodec(sizes, **config)
     rng = random.Random(seed)
     n = rng.randrange(1, 120)
     ordinals = sorted(rng.randrange(codec.mapper.space_size) for _ in range(n))
     exact = pack_ordinals(codec, ordinals, block_size)
-    fast = fast_pack_boundaries(np.asarray(ordinals), sizes, block_size)
+    assert pack_runs(codec, ordinals, block_size) == exact.blocks
+    packer = numpy_packer_for(codec)
+    if not codec.chained:
+        # Unchained sizes depend on the representative: scalar packer only.
+        assert packer is None
+        return
+    fast = packer.pack_boundaries(np.asarray(ordinals), block_size)
     assert [ordinals[s:e] for s, e in fast] == exact.blocks
 
 
@@ -140,7 +168,7 @@ class TestFastEncoder:
     )
     def test_bytes_identical_to_scalar_codec(self, sizes):
         codec = BlockCodec(sizes)
-        encoder = FastBlockEncoder(sizes)
+        encoder = VectorizedBlockCodec(sizes)
         rng = random.Random(5)
         for n in (1, 2, 5, 200):
             ordinals = sorted(
@@ -158,7 +186,7 @@ class TestFastEncoder:
         ordinals = sorted(
             rng.randrange(codec.mapper.space_size) for _ in range(3000)
         )
-        fast = fast_encode_relation(np.asarray(ordinals), sizes, 512)
+        fast = encode_relation(ordinals, sizes, 512)
         exact_partition = pack_ordinals(codec, ordinals, 512)
         exact = [
             codec.encode_block([codec.mapper.phi_inverse(o) for o in run])
@@ -173,7 +201,7 @@ class TestFastEncoder:
         ordinals = sorted(
             rng.randrange(codec.mapper.space_size) for _ in range(1000)
         )
-        blocks = fast_encode_relation(np.asarray(ordinals), sizes, 256)
+        blocks = encode_relation(ordinals, sizes, 256)
         decoded = [o for b in blocks for t in codec.decode_block(b)
                    for o in [codec.mapper.phi(t)]]
         assert decoded == ordinals
@@ -186,7 +214,7 @@ class TestFastEncoder:
 @settings(max_examples=80, deadline=None)
 def test_property_fast_encoder_equals_scalar(sizes, seed):
     codec = BlockCodec(sizes)
-    encoder = FastBlockEncoder(sizes)
+    encoder = VectorizedBlockCodec(sizes)
     rng = random.Random(seed)
     n = rng.randrange(1, 60)
     ordinals = sorted(rng.randrange(codec.mapper.space_size) for _ in range(n))

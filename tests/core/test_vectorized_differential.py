@@ -68,7 +68,6 @@ class TestEncodeByteIdentity:
         assert vec.encode_run(ordinals) == expected
         assert vec.encode_tuples(np.asarray(tuples, dtype=np.int64)) == expected
         assert vec.try_encode_block(tuples) == expected
-        assert vec.encode_runs([ordinals]) == [expected]
 
     @given(schema_and_run())
     @settings(max_examples=120, deadline=None)
@@ -94,7 +93,6 @@ class TestEncodeByteIdentity:
         expected = scalar.decode_block(payload)
         assert vec.decode_block(payload) == expected
         assert vec.decode_ordinals(payload) == ordinals
-        assert vec.decode_blocks([payload]) == [expected]
         np.testing.assert_array_equal(
             vec.decode_ordinals_array(payload),
             np.asarray(ordinals, dtype=np.int64),

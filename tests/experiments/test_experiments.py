@@ -11,7 +11,6 @@ from repro.experiments.fig57 import (
 from repro.experiments.fig58 import build_fig58_relation, run_figure_58
 from repro.experiments.fig59 import (
     measure_local_codec,
-    measure_parallel_codec,
     measured_response_table,
     paper_response_table,
 )
@@ -130,22 +129,6 @@ class TestFigure59:
         rows = measured_response_table(fig58_result, local=timings.profile)
         assert rows[-1].machine == "local-python"
         assert len(rows) == 4
-
-    def test_parallel_codec_measurement(self):
-        # raises CodecError internally if the pool's payloads diverge
-        # from the serial ones, so returning at all proves byte-identity
-        timings = measure_parallel_codec(
-            num_tuples=2_000, workers=2, block_size=2048
-        )
-        assert timings.workers == 2
-        assert timings.num_tuples == 2_000
-        assert timings.num_blocks > 0
-        assert timings.serial_encode_ms > 0
-        assert timings.parallel_encode_ms > 0
-        assert timings.serial_decode_ms > 0
-        assert timings.parallel_decode_ms > 0
-        assert timings.encode_speedup > 0
-        assert timings.decode_speedup > 0
 
 
 class TestReporting:

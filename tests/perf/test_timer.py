@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.perf.machines import calibrated_profile
-from repro.perf.timer import StageTimer, Stopwatch, mean_time_ms
+from repro.perf.timer import mean_time_ms
 
 
 class TestMeanTime:
@@ -21,64 +21,6 @@ class TestMeanTime:
     def test_zero_repeats_rejected(self):
         with pytest.raises(ReproError):
             mean_time_ms(lambda: None, repeats=0)
-
-
-class TestStopwatch:
-    def test_accumulates_sections(self):
-        sw = Stopwatch()
-        for _ in range(3):
-            with sw:
-                time.sleep(0.001)
-        assert sw.laps == 3
-        assert sw.total_ms >= 3 * 0.5
-        assert sw.mean_ms == pytest.approx(sw.total_ms / 3)
-
-    def test_empty_stopwatch(self):
-        sw = Stopwatch()
-        assert sw.laps == 0
-        assert sw.total_ms == 0.0
-        assert sw.mean_ms == 0.0
-
-
-class TestStageTimer:
-    def test_stages_accumulate_independently(self):
-        timer = StageTimer()
-        with timer.stage("encode"):
-            time.sleep(0.001)
-        with timer.stage("decode"):
-            time.sleep(0.001)
-        with timer.stage("encode"):
-            time.sleep(0.001)
-        assert timer.stage("encode").laps == 2
-        assert timer.stage("decode").laps == 1
-        assert timer.total_ms("encode") >= timer.total_ms("decode")
-
-    def test_unknown_stage_is_zero(self):
-        timer = StageTimer()
-        assert timer.total_ms("never-entered") == 0.0
-
-    def test_report_covers_entered_stages(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            pass
-        with timer.stage("b"):
-            pass
-        report = timer.report()
-        assert sorted(report) == ["a", "b"]
-        assert all(v >= 0.0 for v in report.values())
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ReproError):
-            StageTimer().stage("")
-
-    def test_stages_property_is_a_copy(self):
-        timer = StageTimer()
-        with timer.stage("x"):
-            pass
-        snapshot = timer.stages
-        snapshot.clear()
-        assert timer.total_ms("x") >= 0.0
-        assert "x" in timer.stages
 
 
 class TestCalibratedProfile:

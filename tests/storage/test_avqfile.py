@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.codec import BlockCodec
 from repro.errors import StorageError
 from repro.relational.domain import IntegerRangeDomain
 from repro.relational.relation import Relation
@@ -283,16 +284,21 @@ class TestVerifyDirectory:
             f.verify_directory()
 
 
-class TestParallelBuild:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_build_blocks_byte_identical(self, schema, workers):
+class TestBuildByteIdentity:
+    def test_build_blocks_byte_identical(self, schema):
+        # The default build packs and encodes in numpy; forcing the
+        # scalar codec must write exactly the same blocks.
         rel = random_relation(schema, 600, seed=20)
-        serial_disk = SimulatedDisk(block_size=256)
-        parallel_disk = SimulatedDisk(block_size=256)
-        serial = AVQFile.build(rel, serial_disk)
-        parallel = AVQFile.build(rel, parallel_disk, workers=workers)
-        assert serial.num_blocks == parallel.num_blocks
+        scalar_disk = SimulatedDisk(block_size=256)
+        vector_disk = SimulatedDisk(block_size=256)
+        scalar = AVQFile.build(
+            rel, scalar_disk,
+            codec=BlockCodec(schema.domain_sizes, vectorized=False),
+        )
+        vector = AVQFile.build(rel, vector_disk)
+        assert vector.codec.vectorized and not scalar.codec.vectorized
+        assert scalar.num_blocks == vector.num_blocks
         assert [
-            serial_disk.read_block(i) for i in serial.block_ids
-        ] == [parallel_disk.read_block(i) for i in parallel.block_ids]
-        assert list(parallel.scan()) == rel.sorted_by_phi()
+            scalar_disk.read_block(i) for i in scalar.block_ids
+        ] == [vector_disk.read_block(i) for i in vector.block_ids]
+        assert list(vector.scan()) == rel.sorted_by_phi()

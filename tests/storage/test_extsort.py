@@ -164,37 +164,19 @@ class TestBulkLoad:
         assert f.delete((0, 0, 0, 0))
 
 
-class TestParallelBulkLoad:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_blocks_byte_identical_to_serial(self, schema, workers):
+class TestBulkLoadBytes:
+    def test_blocks_byte_identical_to_build(self, schema):
         rng = random.Random(13)
         tuples = [
             tuple(rng.randrange(64) for _ in range(4)) for _ in range(3000)
         ]
-        serial_disk = SimulatedDisk(block_size=256)
-        serial = bulk_load(
-            schema, iter(tuples), serial_disk, memory_budget=200
+        loaded_disk = SimulatedDisk(block_size=256)
+        loaded = bulk_load(
+            schema, iter(tuples), loaded_disk, memory_budget=200
         )
-        parallel_disk = SimulatedDisk(block_size=256)
-        parallel = bulk_load(
-            schema, iter(tuples), parallel_disk,
-            memory_budget=200, workers=workers,
-        )
-        assert parallel.num_blocks == serial.num_blocks
+        built_disk = SimulatedDisk(block_size=256)
+        built = AVQFile.build(Relation(schema, tuples), built_disk)
+        assert loaded.num_blocks == built.num_blocks
         assert [
-            serial_disk.read_block(i) for i in serial.block_ids
-        ] == [parallel_disk.read_block(i) for i in parallel.block_ids]
-
-    def test_parallel_load_spans_multiple_batches(self, schema):
-        from repro.storage.extsort import PARALLEL_BATCH_RUNS
-
-        rng = random.Random(14)
-        tuples = [
-            tuple(rng.randrange(64) for _ in range(4)) for _ in range(4000)
-        ]
-        disk = SimulatedDisk(block_size=64)  # tiny blocks: many runs
-        f = bulk_load(schema, iter(tuples), disk, workers=2)
-        assert f.num_blocks > PARALLEL_BATCH_RUNS  # >1 flush happened
-        scanned = list(f.scan())
-        assert scanned == sorted(tuples, key=schema.mapper.phi)
-        f.verify_directory()
+            built_disk.read_block(i) for i in built.block_ids
+        ] == [loaded_disk.read_block(i) for i in loaded.block_ids]

@@ -19,10 +19,8 @@ EXPECTED_EXPORTS = {
         "TupleLayout", "rle_encode", "rle_decode", "AVQCode", "AVQQuantizer",
         "build_codebook", "STRATEGIES", "get_strategy", "tuple_difference",
         "ordinal_difference", "difference_tuple", "apply_difference",
-        "FastGapSizer", "fast_blocks_needed", "fast_pack_boundaries",
         "GolombBlockCodec", "choose_rice_parameter",
-        "SERIAL_THRESHOLD", "ParallelBlockCodec", "encode_blocks",
-        "decode_blocks", "decode_ordinal_blocks", "resolve_workers",
+        "VectorizedBlockCodec", "numpy_packer_for", "vectorized_codec_for",
     ],
     "repro.vq": [
         "squared_error", "mean_squared_distortion", "lbg_codebook",
@@ -38,7 +36,7 @@ EXPECTED_EXPORTS = {
         "DEFAULT_BLOCK_SIZE", "Block", "DiskModel", "DiskStats",
         "SimulatedDisk", "BufferPool", "BufferStats", "DecodedBlockCache",
         "PackStats", "PackedPartition", "pack_ordinals", "pack_relation",
-        "pack_runs", "HeapFile", "AVQFile", "PARALLEL_BATCH_RUNS",
+        "pack_runs", "HeapFile", "AVQFile",
         "external_sort_ordinals", "bulk_load",
     ],
     "repro.index": [
@@ -64,7 +62,7 @@ EXPECTED_EXPORTS = {
         "response_time_s", "improvement_percent", "ResponseTimeRow",
         "response_time_table", "MachineProfile", "HP_9000_735", "SUN_4_50",
         "DEC_5000_120", "PAPER_MACHINES", "calibrated_profile",
-        "mean_time_ms", "StageTimer", "Stopwatch", "WorkloadCost",
+        "mean_time_ms", "WorkloadCost",
         "simulate_workload",
         "predicted_workload_cost",
     ],
@@ -75,10 +73,9 @@ EXPECTED_EXPORTS = {
     ],
     "repro.experiments": [
         "TEST_CONFIGS", "PAPER_REDUCTIONS", "run_figure_57", "run_figure_58",
-        "measure_local_codec", "measure_parallel_codec",
-        "ParallelCodecTimings", "paper_response_table",
+        "measure_local_codec", "paper_response_table",
         "measured_response_table", "format_fig57", "format_fig58",
-        "format_fig59", "format_parallel_codec", "paper_ordinals",
+        "format_fig59", "paper_ordinals",
         "paper_relation", "paper_blocks",
     ],
     "repro.obs": [
