@@ -285,12 +285,13 @@ class TestVerifyDirectory:
 
 
 class TestBuildByteIdentity:
-    def test_build_blocks_byte_identical(self, schema):
+    @pytest.mark.parametrize("block_size", [256, 64])
+    def test_build_blocks_byte_identical(self, schema, block_size):
         # The default build packs and encodes in numpy; forcing the
         # scalar codec must write exactly the same blocks.
         rel = random_relation(schema, 600, seed=20)
-        scalar_disk = SimulatedDisk(block_size=256)
-        vector_disk = SimulatedDisk(block_size=256)
+        scalar_disk = SimulatedDisk(block_size=block_size)
+        vector_disk = SimulatedDisk(block_size=block_size)
         scalar = AVQFile.build(
             rel, scalar_disk,
             codec=BlockCodec(schema.domain_sizes, vectorized=False),

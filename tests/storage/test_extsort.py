@@ -165,14 +165,17 @@ class TestBulkLoad:
 
 
 class TestBulkLoadBytes:
-    def test_blocks_byte_identical_to_build(self, schema):
+    # 200 tuples of memory spills sorted runs and merges them; 100k
+    # sorts the whole stream in memory.
+    @pytest.mark.parametrize("memory_budget", [200, 100_000])
+    def test_blocks_byte_identical_to_build(self, schema, memory_budget):
         rng = random.Random(13)
         tuples = [
             tuple(rng.randrange(64) for _ in range(4)) for _ in range(3000)
         ]
         loaded_disk = SimulatedDisk(block_size=256)
         loaded = bulk_load(
-            schema, iter(tuples), loaded_disk, memory_budget=200
+            schema, iter(tuples), loaded_disk, memory_budget=memory_budget
         )
         built_disk = SimulatedDisk(block_size=256)
         built = AVQFile.build(Relation(schema, tuples), built_disk)
