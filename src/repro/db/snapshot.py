@@ -14,8 +14,17 @@ directory: bisecting the ``(first, last)`` phi-ordinal ranges (the
 store keys each epoch's first ordinals once) gives the same
 contiguous-run pruning the primary index would for a leading-attribute
 predicate, and a point probe finds its one covering block the same way.
-Payload decodes bypass the decoded-block cache for the same reason —
-that cache answers "what does this block hold *now*".
+
+On a vector-codec table every snapshot, and every reader thread, shares
+the table's one :class:`OrdinalCache`: ``block_id -> (payload, read-only
+int64 ordinal array)``.  Its version check is the payload itself.  Each
+read still fetches the block through the version store, so the bytes
+are CRC-verified (or come from the stash, which only keeps verified
+bytes); an entry answers only when its payload equals those bytes.
+Decode is a pure function of the payload, so equal bytes mean an equal
+array, whichever snapshot or block version asked.  Rot at rest changes
+the stored bytes, fails the fetch's CRC check and never reaches the
+cache; a rewritten block's new payload simply misses.
 
 A snapshot pins superseded block versions, so it must be closed;
 ``with table.read_snapshot() as snap: ...`` is the idiomatic form.
@@ -23,8 +32,9 @@ A snapshot pins superseded block versions, so it must be closed;
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +49,7 @@ from repro.errors import QueryCancelled, QueryError
 from repro.obs import runtime as _obs
 from repro.storage.mvcc import BlockVersionStore, SnapshotHandle
 
-__all__ = ["TableSnapshot"]
+__all__ = ["OrdinalCache", "TableSnapshot"]
 
 
 class TableSnapshot:
@@ -98,14 +108,14 @@ class TableSnapshot:
         anything else scans every entry.  Results are ordinal tuples in
         phi order, exactly as :meth:`Table.select` returns them.
 
-        Filtering is array-native when the table's vector codec can
-        decode (docs/SERVING.md): each block decodes once to its sorted
-        ordinal array, a leading-attribute range becomes one
-        ``searchsorted`` slice (phi is monotone inside a block), every
-        other predicate a vector mask over that attribute's digit, and
-        tuples are built only for the survivors.  Other codecs keep the
-        tuple-at-a-time filter.  Either way ``tuples_examined`` counts
-        every tuple of every block read.
+        Filtering is array-native when the table has an
+        :class:`OrdinalCache` (docs/SERVING.md): each block's sorted
+        ordinal array comes from the cache, a leading-attribute range
+        becomes one ``searchsorted`` slice (phi is monotone inside a
+        block), every other predicate a vector mask over that
+        attribute's digit, and tuples are built only for the survivors.
+        Other codecs keep the tuple-at-a-time filter.  Either way
+        ``tuples_examined`` counts every tuple of every block read.
 
         ``should_cancel`` is the cooperative cancellation hook the
         serving layer threads in (docs/SERVING.md): it is polled before
@@ -130,7 +140,7 @@ class TableSnapshot:
         else:
             candidates = directory
             access_path = "snapshot-scan"
-        vec = self._array_codec()
+        cache = self._table.ordinal_cache
         # The leading predicate becomes the slice; every other one —
         # including a second predicate on the leading attribute — is
         # masked.
@@ -143,7 +153,7 @@ class TableSnapshot:
             csn=self.csn,
             candidates=len(candidates),
             codec_path=self._table._codec_path(),
-            filter_path="tuple" if vec is None else "array",
+            filter_path="tuple" if cache is None else "array",
         ):
             for block_id, _first, _last, _count in candidates:
                 if should_cancel is not None and should_cancel():
@@ -152,13 +162,17 @@ class TableSnapshot:
                         f"block {block_id} (csn {self.csn})"
                     )
                 payload = self._read_payload(block_id)
-                if vec is None:
+                if cache is None:
                     tuples = self._table.storage.decode_payload(payload)
                     examined += len(tuples)
                     out.extend(filter_tuples(tuples, bound))
                 else:
                     examined += _filter_array(
-                        vec, payload, ordinal_range, masked, out
+                        cache.codec,
+                        cache.ordinals(block_id, payload),
+                        ordinal_range,
+                        masked,
+                        out,
                     )
         return QueryResult(
             tuples=out,
@@ -232,13 +246,6 @@ class TableSnapshot:
             return directory[index]
         return None
 
-    def _array_codec(self) -> Optional[VectorizedBlockCodec]:
-        """The vector codec when it can decode this table, else ``None``."""
-        vec = getattr(self._table.storage.codec, "vector_codec", None)
-        if vec is None or not vec.decode_supported:
-            return None
-        return vec
-
     def _read_payload(self, block_id: int) -> bytes:
         return self._store.read(
             block_id,
@@ -250,30 +257,107 @@ class TableSnapshot:
         return self._table.storage.decode_payload(self._read_payload(block_id))
 
 
+class OrdinalCache:
+    """Decoded ordinal arrays of one table's blocks, shared by snapshots.
+
+    One entry per block id, ``(payload, ordinals)``: the last read wins.
+    :meth:`ordinals` answers from an entry only when its payload equals
+    the bytes the caller just fetched and verified, so an entry can
+    never stand in for another block version, and a fetch that raised
+    never reaches the cache.  Arrays are read-only, so every reader may
+    share them.
+
+    The hit path takes no lock: a dict lookup and a bytes compare, which
+    usually ends at the identity check because the disk hands out the
+    stored ``bytes`` object itself.  Two reader threads that miss on
+    the same block both decode it; the later store wins.  Stores and
+    :meth:`retain` share one lock so pruning never iterates a dict that
+    another thread is growing.  Each thread counts its hits and misses
+    in its own tally, so the counts are exact without a lock.
+    """
+
+    def __init__(self, codec: VectorizedBlockCodec) -> None:
+        self.codec = codec
+        self._entries: Dict[int, Tuple[bytes, np.ndarray]] = {}
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        #: One ``[hits, misses]`` per thread that ever read; only its
+        #: owner writes it.
+        self._tallies: List[List[int]] = []
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def hits(self) -> int:
+        """Reads answered from an entry, over all threads."""
+        return sum(tally[0] for tally in list(self._tallies))
+
+    @property
+    def misses(self) -> int:
+        """Reads that decoded, over all threads."""
+        return sum(tally[1] for tally in list(self._tallies))
+
+    def _tally(self) -> List[int]:
+        tally: Optional[List[int]] = getattr(self._local, "tally", None)
+        if tally is None:
+            tally = self._local.tally = [0, 0]
+            with self._lock:
+                self._tallies.append(tally)
+        return tally
+
+    def ordinals(self, block_id: int, payload: bytes) -> np.ndarray:
+        """``payload``'s sorted ordinal array, decoding only on a miss.
+
+        ``payload`` must be verified bytes of ``block_id``: a decode
+        error propagates and stores nothing.
+        """
+        reg = _obs.REGISTRY
+        entry = self._entries.get(block_id)
+        if entry is not None and entry[0] == payload:
+            self._tally()[0] += 1
+            if reg is not None:
+                reg.inc("snapshot.ordinal_cache_hits")
+            return entry[1]
+        t0 = _obs.now_ms() if reg is not None else 0.0
+        ordinals = self.codec.decode_ordinals_array(payload)
+        if reg is not None:
+            # The counters BlockCodec.decode_ordinals keeps, which this
+            # direct call bypasses.
+            reg.inc("codec.ordinal_decodes")
+            reg.inc("codec.vector_decodes")
+            reg.observe("codec.decode_ms", _obs.now_ms() - t0)
+            reg.inc("snapshot.ordinal_cache_misses")
+        ordinals.setflags(write=False)
+        with self._lock:
+            self._entries[block_id] = (payload, ordinals)
+        self._tally()[1] += 1
+        return ordinals
+
+    def retain(self, directory: Iterable[Tuple[int, int, int, int]]) -> None:
+        """Drop entries whose block id left ``directory`` (a publish)."""
+        live = {entry[0] for entry in directory}
+        with self._lock:
+            for block_id in [b for b in self._entries if b not in live]:
+                del self._entries[block_id]
+
+
 def _filter_array(
     vec: VectorizedBlockCodec,
-    payload: bytes,
+    ordinals: np.ndarray,
     ordinal_range: Optional[Tuple[int, int]],
     masked: Sequence[BoundPredicate],
     out: List[Tuple[int, ...]],
 ) -> int:
     """Filter one block in ordinal space; append matches, return its size.
 
-    ``ordinal_range`` is the leading predicate's inclusive range, cut as
-    one slice of the block's sorted ordinals; each ``masked`` predicate
-    is then a vector test on its attribute's digit.  Only the surviving
-    ordinals are inverted into tuples, in phi order.
+    ``ordinals`` is the block's sorted ordinal array.  ``ordinal_range``
+    is the leading predicate's inclusive range, cut as one slice of it;
+    each ``masked`` predicate is then a vector test on its attribute's
+    digit.  Only the surviving ordinals are inverted into tuples, in phi
+    order.
     """
-    reg = _obs.REGISTRY
-    t0 = _obs.now_ms() if reg is not None else 0.0
-    ordinals = vec.decode_ordinals_array(payload)
     size = int(ordinals.size)
-    if reg is not None:
-        # The counters BlockCodec.decode_ordinals keeps, which this
-        # direct call bypasses.
-        reg.inc("codec.ordinal_decodes")
-        reg.inc("codec.vector_decodes")
-        reg.observe("codec.decode_ms", _obs.now_ms() - t0)
     if ordinal_range is not None:
         lo = int(np.searchsorted(ordinals, ordinal_range[0], side="left"))
         hi = int(np.searchsorted(ordinals, ordinal_range[1], side="right"))

@@ -52,7 +52,7 @@ from repro.storage.integrity import (
 from repro.storage.wal import RecoveryReport, WriteAheadLog, recover
 
 if TYPE_CHECKING:  # circular at type level only
-    from repro.db.snapshot import TableSnapshot
+    from repro.db.snapshot import OrdinalCache, TableSnapshot
     from repro.storage.buffer import BufferPool, DecodedBlockCache
     from repro.storage.mvcc import BlockVersionStore
 
@@ -94,6 +94,7 @@ class Table:
         self._active_tid: Optional[int] = None
         self._last_recovery: Optional[RecoveryReport] = None
         self._mvcc: Optional["BlockVersionStore"] = None
+        self._ordinals: Optional["OrdinalCache"] = None
         self._buffer: Optional["BufferPool"] = None
         self._decoded: Optional["DecodedBlockCache"] = None
         if buffer_capacity is None and decoded_cache_capacity is not None:
@@ -504,13 +505,29 @@ class Table:
         frozen views while a writer keeps mutating.  On a durable table
         the commit boundary is transaction commit/abort; otherwise each
         top-level mutation publishes (statement-level consistency).
+
+        A table whose vector codec can decode also gets its
+        :attr:`ordinal_cache`, which every snapshot select reads through.
         """
         storage = self._require_avq("enable_mvcc")
         if self._mvcc is None:
+            from repro.db.snapshot import OrdinalCache
             from repro.storage.mvcc import BlockVersionStore
 
             self._mvcc = BlockVersionStore(storage.directory_entries())
+            vec = getattr(storage.codec, "vector_codec", None)
+            if vec is not None and vec.decode_supported:
+                self._ordinals = OrdinalCache(vec)
         return self._mvcc
+
+    @property
+    def ordinal_cache(self) -> Optional["OrdinalCache"]:
+        """Decoded ordinal arrays shared by snapshot selects, or ``None``.
+
+        Present once :meth:`enable_mvcc` ran on a table whose vector
+        codec can decode; scalar-codec tables filter tuples instead.
+        """
+        return self._ordinals
 
     def read_snapshot(self) -> "TableSnapshot":
         """A pinned, consistent read-only view of the committed state.
@@ -553,7 +570,10 @@ class Table:
     def _mvcc_publish(self) -> None:
         """Seal the current epoch at a commit boundary."""
         if self._mvcc is not None and isinstance(self._storage, AVQFile):
-            self._mvcc.publish(self._storage.directory_entries())
+            entries = self._storage.directory_entries()
+            self._mvcc.publish(entries)
+            if self._ordinals is not None:
+                self._ordinals.retain(entries)
 
     def _filter_blocks(self, block_ids, bound, *, access_path) -> QueryResult:
         disk = self._disk()

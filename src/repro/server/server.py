@@ -36,8 +36,10 @@ for many concurrent clients:
 Thread-safety inventory (what the reader threads may touch):
 the :class:`~repro.storage.mvcc.BlockVersionStore` (latched), the
 :class:`~repro.storage.buffer.BufferPool` (latched, shared latch with
-its decoded cache), the simulated disk's block dict (single dict ops,
-atomic under CPython), and immutable schema/codec objects.  The live
+its decoded cache), each table's
+:class:`~repro.db.snapshot.OrdinalCache` (lock-free hits over read-only
+arrays, latched stores), the simulated disk's block dict (single dict
+ops, atomic under CPython), and immutable schema/codec objects.  The live
 indices and the WAL belong to the writer alone.
 """
 
@@ -399,10 +401,14 @@ class ReproServer:
             budget_ms = self._deadline_budget(op, request)
         except ProtocolError as exc:
             return error_response("bad_deadline", str(exc))
+        # Latency starts before admission so it includes queueing.
+        t0 = _obs.now_ms()
         if not await self._admission.admit(client_id):
             return busy_response()
+        reg = _obs.REGISTRY
+        if reg is not None:
+            reg.observe("server.admission_wait_ms", _obs.now_ms() - t0)
         release_now = True
-        t0 = _obs.now_ms()
         try:
             with _obs.span("server.request", op=op, client=client_id):
                 if op == "select":
@@ -651,6 +657,13 @@ class ReproServer:
                 entry["csn"] = store.csn
                 entry["versions"] = store.version_count
                 entry["pinned_snapshots"] = store.pinned_snapshots
+            cache = table.ordinal_cache
+            if cache is not None:
+                entry["ordinal_cache"] = {
+                    "hits": cache.hits,
+                    "misses": cache.misses,
+                    "entries": len(cache),
+                }
             pool = table.buffer_pool
             if pool is not None:
                 entry["buffer"] = pool.stats.as_dict()

@@ -9,7 +9,9 @@ return identical rows in identical phi order and account for the same
 blocks read and tuples examined (up to the one planning difference
 :func:`live_expectation` documents), on vector-eligible schemas and on
 the scalar fallback alike, before and after writes that split blocks,
-and through stashed versions a held snapshot reads.
+and through stashed versions a held snapshot reads.  Every snapshot
+select runs twice, so on a vector-codec table the second answer comes
+from the table's ordinal cache.
 """
 
 from collections import Counter
@@ -155,10 +157,17 @@ def assert_same_result(got, want):
         assert got.candidate_blocks == candidates
 
 
-def assert_matches_live(table, snap, query):
+def assert_selects_twice(snap, query, want):
+    """Run ``query`` twice: on a vector-codec table the second run is
+    served from the ordinal cache, and both must give ``want``."""
     got = snap.select(query)
-    assert_same_result(got, live_expectation(table, query))
+    assert_same_result(got, want)
+    assert_same_result(snap.select(query), want)
     return got
+
+
+def assert_matches_live(table, snap, query):
+    return assert_selects_twice(snap, query, live_expectation(table, query))
 
 
 class TestCodecChoice:
@@ -261,7 +270,7 @@ class TestAcrossWrites:
                     got = assert_matches_live(table, fresh, query)
                     assert got.tuples == oracle(table, live_rows, query)
             for query, want in zip(queries, before):
-                assert_same_result(held.select(query), want)
+                assert_selects_twice(held, query, want)
         finally:
             held.close()
 
@@ -279,20 +288,37 @@ class TestAcrossWrites:
             ),
         ]
         held = table.read_snapshot()
+        cache = table.ordinal_cache
         try:
             before = [live_expectation(table, q) for q in queries]
+            for query, want in zip(queries, before):
+                assert_selects_twice(held, query, want)
             for i in range(40):
                 table.insert([(i * 7 + k) % s for k, s in enumerate(sizes)])
+                if i % 8 == 0:  # cache blocks while they split
+                    with table.read_snapshot() as fresh:
+                        fresh.scan()
             for t in rows[::3]:
                 assert table.delete(t)
             assert table.num_blocks > blocks_before  # inserts split blocks
+            if cache is not None:
+                assert 0 < len(cache) <= table.num_blocks
             stash_reads = table.mvcc.stats.reads_from_stash
             for query, want in zip(queries, before):
-                assert_same_result(held.select(query), want)
+                assert_selects_twice(held, query, want)
             assert table.mvcc.stats.reads_from_stash > stash_reads
             with table.read_snapshot() as fresh:
                 for query in queries:
                     assert_matches_live(table, fresh, query)
+            table.compact()  # every block moves to a fresh id
+            if cache is not None:
+                # The publish dropped every entry whose block retired.
+                assert len(cache) == 0
+            with table.read_snapshot() as fresh:
+                for query in queries:
+                    assert_matches_live(table, fresh, query)
+            for query, want in zip(queries, before):
+                assert_selects_twice(held, query, want)
         finally:
             held.close()
 
@@ -330,4 +356,8 @@ class TestCancellation:
             assert len(decodes) == 2
             decodes.clear()
             result = snap.select(RangeQuery([RangePredicate("a1", 0, 3)]))
-        assert len(decodes) == result.blocks_read == table.num_blocks
+        # The two blocks decoded before the cancel are ordinal-cache
+        # hits; every other block decodes once.
+        assert result.blocks_read == table.num_blocks
+        assert len(decodes) == table.num_blocks - 2
+        assert table.ordinal_cache.hits == 2

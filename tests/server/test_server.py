@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.db.database import Database
+from repro.obs import runtime
 from repro.server.client import AsyncReproClient, ReproClient
 from repro.server.loadgen import run_loadgen
 from repro.server.server import ReproServer, ServerConfig
@@ -181,6 +182,43 @@ class TestRequests:
                     assert entry["tuples"] == len(ROWS)
                     assert entry["csn"] == 0
                     assert entry["pinned_snapshots"] == 0
+                    blocks = entry["blocks"]
+                    assert entry["ordinal_cache"] == {
+                        "hits": 0, "misses": blocks, "entries": blocks,
+                    }
+
+        run(scenario())
+
+
+class TestLatencyMetrics:
+    def test_latency_includes_the_admission_wait(self):
+        """A request held in the admission queue records that wait, on
+        its own and inside ``server.latency_ms``."""
+        hold_s = 0.2
+
+        async def scenario():
+            with runtime.scoped() as (registry, _):
+                async with serving(max_inflight=1) as (server, host, port):
+                    assert await server.admission.admit("hog")
+                    async with await AsyncReproClient.connect(
+                        host, port
+                    ) as c:
+                        pending = asyncio.ensure_future(
+                            c.request({"op": "schema", "table": "t"})
+                        )
+                        for _ in range(2000):
+                            if server.admission.queued or pending.done():
+                                break
+                            await asyncio.sleep(0.005)
+                        assert server.admission.queued == 1
+                        await asyncio.sleep(hold_s)
+                        server.admission.release("hog")
+                        assert (await pending)["status"] == "ok"
+                wait = registry.histogram("server.admission_wait_ms")
+                latency = registry.histogram("server.latency_ms")
+                assert wait.count == latency.count == 1
+                assert wait.sum >= hold_s * 1000
+                assert latency.sum >= wait.sum
 
         run(scenario())
 
