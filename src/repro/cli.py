@@ -50,7 +50,7 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.io.csvio import read_csv_rows, write_csv_rows
+from repro.io.csvio import read_csv_relation, write_csv_rows
 from repro.io.format import AVQFileReader, write_avq_file
 from repro.obs import runtime as _obs
 from repro.relational.encoding import SchemaInferencer
@@ -61,16 +61,18 @@ __all__ = ["build_parser", "main"]
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    names, rows = read_csv_rows(args.input, has_header=not args.no_header)
-    inferencer = SchemaInferencer(integer_padding=args.integer_padding)
-    schema = inferencer.infer(rows, names)
-    relation = Relation.from_values(schema, rows)
+    relation = read_csv_relation(
+        args.input,
+        has_header=not args.no_header,
+        inferencer=SchemaInferencer(integer_padding=args.integer_padding),
+    )
+    schema = relation.schema
     summary = write_avq_file(args.output, relation, block_size=args.block_size)
     ratio = 100.0 * (
         1.0 - summary["file_bytes"] / max(1, summary["fixed_width_bytes"])
     )
     print(f"{args.input}: {summary['tuples']} tuples, "
-          f"{len(names)} attributes")
+          f"{schema.arity} attributes")
     print(f"{args.output}: {summary['blocks']} blocks, "
           f"{summary['file_bytes']:,} bytes "
           f"({summary['payload_bytes']:,} payload)")
@@ -307,8 +309,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for spec in args.csv:
         path, _, name = spec.partition(":")
         name = name or Path(path).stem
-        names, rows = read_csv_rows(path, has_header=True)
-        database.create_table(name, rows, columns=names, compressed=True)
+        database.create_table_from_relation(
+            name, read_csv_relation(path), compressed=True
+        )
         table = database.table(name)
         print(f"{name}: {table.num_tuples} tuples in "
               f"{table.num_blocks} blocks (from {path})")

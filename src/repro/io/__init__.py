@@ -6,7 +6,7 @@ by block, move data in and out of CSV, and keep containers honest with
 offline scrub/fsck tooling (:mod:`repro.io.scrub`, docs/INTEGRITY.md).
 """
 
-from repro.io.csvio import read_csv_rows, write_csv_rows
+from repro.io.csvio import read_csv_relation, read_csv_rows, write_csv_rows
 from repro.io.format import AVQFileReader, read_avq_file, write_avq_file
 from repro.io.schema_json import schema_from_dict, schema_to_dict
 from repro.io.scrub import (
@@ -21,6 +21,7 @@ __all__ = [
     "write_avq_file",
     "read_avq_file",
     "AVQFileReader",
+    "read_csv_relation",
     "read_csv_rows",
     "write_csv_rows",
     "schema_to_dict",

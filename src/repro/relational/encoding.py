@@ -14,11 +14,18 @@ rows, it inspects each column and builds
 The result is a :class:`~repro.relational.schema.Schema` plus the encoded
 :class:`~repro.relational.relation.Relation` — the paper's Table (a) to
 Table (b) transformation in Figure 2.2.
+
+:meth:`SchemaInferencer.encode_columns` is the same mapping applied a
+column at a time, as Section 3.1 defines it: an integer column held as
+an int64 array gets its domain from the column's ``min``/``max`` and its
+ordinals from one subtraction.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from repro.errors import EncodingError, SchemaError
 from repro.relational.domain import (
@@ -96,7 +103,40 @@ class SchemaInferencer:
         ]
         return Schema(attributes)
 
-    def _infer_column(self, column: List) -> Domain:
+    def encode_columns(
+        self,
+        columns: Sequence[Union[np.ndarray, Sequence]],
+        names: Sequence[str],
+    ) -> Relation:
+        """Infer a schema from whole columns and domain-map every value.
+
+        Each column is either an int64 array (an integer column) or a
+        sequence of raw values.  The result equals ``infer`` over the
+        rows followed by :meth:`Relation.from_values`, without building
+        a tuple per row when the schema's ordinals fit int64.
+        """
+        if not columns or not len(columns[0]):
+            raise EncodingError("cannot infer a schema from zero rows")
+        domains = [self._infer_column(c) for c in columns]
+        schema = Schema([Attribute(n, d) for n, d in zip(names, domains)])
+        if not schema.ordinals_fit_int64:
+            return Relation(
+                schema,
+                zip(*[[d.encode(v) for v in c] for c, d in zip(columns, domains)]),
+            )
+        array = np.empty((len(columns[0]), len(columns)), dtype=np.int64)
+        for i, (column, domain) in enumerate(zip(columns, domains)):
+            if isinstance(column, np.ndarray):
+                array[:, i] = column - column.min()
+            else:
+                array[:, i] = [domain.encode(v) for v in column]
+        return Relation.from_array(schema, array)
+
+    def _infer_column(self, column: Union[np.ndarray, Sequence]) -> Domain:
+        if isinstance(column, np.ndarray):
+            return IntegerRangeDomain(
+                int(column.min()), int(column.max()) + self._integer_padding
+            )
         if all(isinstance(v, bool) for v in column):
             # bools are ints in Python; treat them as a 2-value category.
             return CategoricalDomain([False, True])

@@ -18,6 +18,9 @@ from repro.relational.domain import Domain
 
 __all__ = ["Attribute", "Schema"]
 
+#: A domain of at most this many values has every ordinal in int64.
+_INT64_ORDINALS = 1 << 63
+
 
 @dataclass(frozen=True)
 class Attribute:
@@ -59,6 +62,9 @@ class Schema:
         self._attributes: Tuple[Attribute, ...] = tuple(attributes)
         self._by_name: Dict[str, int] = {a.name: i for i, a in enumerate(attributes)}
         self._mapper = OrdinalMapper([a.domain.size for a in attributes])
+        self._ordinals_fit_int64 = all(
+            a.domain.size <= _INT64_ORDINALS for a in attributes
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -88,6 +94,16 @@ class Schema:
     def mapper(self) -> OrdinalMapper:
         """The phi bijection over this schema's tuple space."""
         return self._mapper
+
+    @property
+    def ordinals_fit_int64(self) -> bool:
+        """Whether every attribute's ordinals fit int64 (each ``|A_i| <= 2**63``).
+
+        A :class:`~repro.relational.relation.Relation` over such a schema
+        holds its tuples as one int64 array.  This is a per-attribute
+        bound: the phi space as a whole may still exceed 64 bits.
+        """
+        return self._ordinals_fit_int64
 
     @property
     def space_size(self) -> int:

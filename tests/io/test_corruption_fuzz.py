@@ -15,7 +15,7 @@ import zlib
 import pytest
 
 from repro.errors import ReproError
-from repro.io.format import AVQFileReader, write_avq_file
+from repro.io.format import AVQFileReader, read_avq_file, write_avq_file
 from repro.relational.domain import IntegerRangeDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
@@ -38,8 +38,17 @@ def container_bytes(tmp_path_factory):
 
 
 def try_read_all(path):
-    with AVQFileReader(path) as reader:
-        return list(reader.scan())
+    """Read every tuple both ways: block by block, and through the
+    column-wise ``read_avq_file``.  They must fail alike or agree."""
+    try:
+        with AVQFileReader(path) as reader:
+            tuples = list(reader.scan())
+    except ReproError as exc:
+        with pytest.raises(type(exc)):
+            read_avq_file(path)
+        raise
+    assert list(read_avq_file(path)) == tuples
+    return tuples
 
 
 class TestCorruptionDetection:

@@ -1,11 +1,12 @@
 """Unit tests for the on-disk AVQ container format."""
 
+import json
 import random
 
 import pytest
 
 from repro.core.codec import BlockCodec
-from repro.errors import StorageError
+from repro.errors import CorruptionError, QuarantinedBlockError, StorageError
 from repro.io.format import AVQFileReader, read_avq_file, write_avq_file
 from repro.relational.domain import CategoricalDomain, IntegerRangeDomain
 from repro.relational.relation import Relation
@@ -29,13 +30,33 @@ def relation():
     )
 
 
+def codecs(schema):
+    """The vector codec (the default here) and the scalar one."""
+    vector = BlockCodec(schema.domain_sizes)
+    assert vector.vector_codec is not None and vector.vector_codec.decode_supported
+    return [vector, BlockCodec(schema.domain_sizes, vectorized=False)]
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a container's header JSON in place."""
+    raw = open(path, "rb").read()
+    header_len = int.from_bytes(raw[6:10], "big")
+    header = json.loads(raw[10:10 + header_len])
+    edit(header)
+    hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(raw[:6] + len(hb).to_bytes(4, "big") + hb
+                + raw[10 + header_len:])
+
+
 class TestRoundTrip:
     def test_whole_relation_survives(self, relation, tmp_path):
         path = str(tmp_path / "data.avq")
-        write_avq_file(path, relation, block_size=512)
-        back = read_avq_file(path)
-        assert list(back) == relation.sorted_by_phi()
-        assert back.schema.names == relation.schema.names
+        for codec in codecs(relation.schema):
+            write_avq_file(path, relation, block_size=512, codec=codec)
+            back = read_avq_file(path)
+            assert list(back) == relation.sorted_by_phi()
+            assert back.schema.names == relation.schema.names
 
     def test_summary_fields(self, relation, tmp_path):
         path = str(tmp_path / "data.avq")
@@ -57,6 +78,7 @@ class TestRoundTrip:
         with AVQFileReader(path) as reader:
             assert not reader.codec.chained
             assert list(reader.scan()) == relation.sorted_by_phi()
+        assert list(read_avq_file(path)) == relation.sorted_by_phi()
 
     def test_values_decode_through_domains(self, relation, tmp_path):
         path = str(tmp_path / "data.avq")
@@ -155,3 +177,69 @@ class TestCorruptionHandling:
         open(path, "wb").write(bytes(data))
         with pytest.raises(StorageError):
             AVQFileReader(path)
+
+
+class TestReadBackChecks:
+    """``read_avq_file`` keeps every check of the block-at-a-time reader:
+    the same error class, ``detected_by`` and message on either codec."""
+
+    def _container(self, relation, tmp_path, codec):
+        path = str(tmp_path / "data.avq")
+        write_avq_file(path, relation, block_size=512, codec=codec)
+        with AVQFileReader(path) as reader:
+            assert reader.num_blocks > 3
+        return path
+
+    def _assert_fails_like_scan(self, path, cls, detected_by, message):
+        with pytest.raises(cls) as by_file:
+            read_avq_file(path)
+        with AVQFileReader(path) as reader:
+            with pytest.raises(cls) as by_scan:
+                list(reader.scan())
+        for exc in (by_file.value, by_scan.value):
+            assert type(exc) is cls
+            assert exc.detected_by == detected_by
+            assert exc.position == 2
+            assert exc.path == path
+            assert str(exc) == message
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["vector", "scalar"])
+    def test_rotted_payload(self, relation, tmp_path, which):
+        codec = codecs(relation.schema)[which]
+        path = self._container(relation, tmp_path, codec)
+        with AVQFileReader(path) as reader:
+            offset = reader._entries[2].offset + 5
+        data = bytearray(open(path, "rb").read())
+        data[offset] ^= 0x10
+        open(path, "wb").write(bytes(data))
+        self._assert_fails_like_scan(
+            path, CorruptionError, "crc32",
+            "block 2 failed its checksum (corrupt payload)",
+        )
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["vector", "scalar"])
+    def test_quarantined_block(self, relation, tmp_path, which):
+        codec = codecs(relation.schema)[which]
+        path = self._container(relation, tmp_path, codec)
+        rewrite_header(path, lambda h: h.update(quarantined={"2": "crc32"}))
+        self._assert_fails_like_scan(
+            path, QuarantinedBlockError, "quarantine",
+            "block 2 is quarantined (crc32); run fsck --repair",
+        )
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["vector", "scalar"])
+    def test_directory_count_mismatch(self, relation, tmp_path, which):
+        codec = codecs(relation.schema)[which]
+        path = self._container(relation, tmp_path, codec)
+        with AVQFileReader(path) as reader:
+            count = reader.block_info(2)[0]
+
+        def miscount(header):
+            header["blocks"][2][1] += 1
+
+        rewrite_header(path, miscount)
+        self._assert_fails_like_scan(
+            path, CorruptionError, "directory",
+            f"block 2 decoded to {count} tuples, "
+            f"directory says {count + 1}",
+        )

@@ -6,7 +6,8 @@ import os
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.io.format import AVQFileReader, write_avq_file
+from repro.core.codec import BlockCodec
+from repro.io.format import AVQFileReader, read_avq_file, write_avq_file
 from repro.relational.domain import CategoricalDomain, IntegerRangeDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
@@ -57,11 +58,18 @@ def test_container_round_trip(tmp_path_factory, relation, block_size):
         m = relation.uncompressed_bytes() // max(1, len(relation))
         if block_size < m + 8:
             block_size = m + 8  # ensure one tuple fits
-        write_avq_file(path, relation, block_size=block_size)
-        with AVQFileReader(path) as reader:
-            assert list(reader.scan()) == relation.sorted_by_phi()
-            assert reader.num_tuples == len(relation)
-            assert reader.schema.domain_sizes == relation.schema.domain_sizes
+        sizes = relation.schema.domain_sizes
+        # The default (vector) codec, read back column-wise by
+        # read_avq_file, and the scalar codec, read tuple by tuple.
+        for codec in (BlockCodec(sizes), BlockCodec(sizes, vectorized=False)):
+            write_avq_file(path, relation, block_size=block_size, codec=codec)
+            with AVQFileReader(path) as reader:
+                assert list(reader.scan()) == relation.sorted_by_phi()
+                assert reader.num_tuples == len(relation)
+                assert reader.schema.domain_sizes == sizes
+            back = read_avq_file(path)
+            assert list(back) == relation.sorted_by_phi()
+            assert back.schema.domain_sizes == sizes
     finally:
         if os.path.exists(path):
             os.unlink(path)
