@@ -1,15 +1,13 @@
-"""Benchmark: the decoded-block cache and the snapshot ordinal cache.
+"""Benchmark: cold point lookups and the snapshot ordinal cache.
 
-A warm decoded-block cache answers repeat point lookups without
-decoding (or reading) anything.  The cold run decodes the block of
-every lookup; the warm run must be served from decoded tuples in
-memory, which the buffer-pool statistics confirm.
+The cold run probes 200 tuples on a freshly built table: each lookup
+reads its one block and walks its difference stream with early exit.
 
 Snapshot selects (every served select) read through the table's ordinal
-cache instead.  On a table shaped like the repository benchmark's
-point-hot workload, a first read of a block (a miss: fetch, verify,
-decode) is timed against a repeat read (a hit: fetch, verify, reuse the
-decoded ordinals).
+cache.  On a table shaped like the repository benchmark's point-hot
+workload, a first read of a block (a miss: fetch, verify, decode) is
+timed against a repeat read (a hit: fetch, verify, reuse the decoded
+ordinals).
 """
 
 import random
@@ -30,21 +28,8 @@ POINT_HOT_ROWS = 200_000
 POINT_HOT_MAXIMA = (8191, 255, 255, 255, 255, 255)
 
 
-@pytest.fixture(scope="module")
-def probe_table(timing_relation):
-    table = Table.from_relation(
-        "bench",
-        timing_relation,
-        SimulatedDisk(block_size=BLOCK_SIZE),
-        decoded_cache_capacity=1024,
-    )
-    rng = random.Random(33)
-    probes = rng.sample(list(timing_relation), 200)
-    return table, probes
-
-
 def test_point_lookups_cold(benchmark, timing_relation):
-    """Every lookup decodes its block: no cache at all."""
+    """Every lookup reads and walks its block: no cache at all."""
 
     def run():
         table = Table.from_relation(
@@ -58,26 +43,6 @@ def test_point_lookups_cold(benchmark, timing_relation):
 
     found = benchmark.pedantic(run, rounds=3)
     assert found == 200
-
-
-def test_point_lookups_warm_decoded_cache(benchmark, probe_table):
-    """Repeat lookups are answered from decoded tuples in memory."""
-    table, probes = probe_table
-    for t in probes:  # warm the decoded cache
-        assert table.contains(t)
-
-    def run():
-        return sum(table.contains(t) for t in probes)
-
-    found = benchmark.pedantic(run, rounds=3)
-    assert found == len(probes)
-    stats = table.buffer_pool.stats
-    assert stats.decoded_hits > 0  # the warm path never re-decoded
-    benchmark.extra_info["decoded_hits"] = stats.decoded_hits
-    benchmark.extra_info["decoded_misses"] = stats.decoded_misses
-    benchmark.extra_info["decoded_hit_rate"] = round(
-        stats.decoded_hit_rate, 4
-    )
 
 
 @pytest.fixture(scope="module")

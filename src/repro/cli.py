@@ -158,22 +158,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
         pos = schema.position(args.attr)
 
         if pos == 0:
+            from repro.db.query import leading_ordinal_range
+
             # Clustering attribute: only the overlapping ordinal range.
-            w0 = schema.mapper.weights[0]
             candidates = reader.blocks_overlapping(
-                lo * w0, (hi + 1) * w0 - 1
+                *leading_ordinal_range(schema.mapper, lo, hi)
             )
         else:
             candidates = list(range(reader.num_blocks))
 
         from collections import OrderedDict
 
-        from repro.storage.buffer import BufferStats
-
         # Stage timing runs through repro.obs — the sanctioned clock
         # (R008) — so the same numbers the CLI prints also land in the
         # registry/tracer whenever the global --metrics flag is up.
-        stats = BufferStats()
+        counts = {"hits": 0, "misses": 0, "evictions": 0}
         cache: "OrderedDict[int, list]" = OrderedDict()
         stage_ms = {"decode": 0.0, "total": 0.0}
 
@@ -181,17 +180,17 @@ def _cmd_query(args: argparse.Namespace) -> int:
             block = cache.get(position) if args.decoded_cache > 0 else None
             if block is not None:
                 cache.move_to_end(position)
-                stats.decoded_hits += 1
+                counts["hits"] += 1
                 return block
             t0 = _obs.now_ms()
             block = reader.read_block(position)
             stage_ms["decode"] += _obs.now_ms() - t0
             if args.decoded_cache > 0:
-                stats.decoded_misses += 1
+                counts["misses"] += 1
                 cache[position] = block
                 if len(cache) > args.decoded_cache:
                     cache.popitem(last=False)
-                    stats.decoded_evictions += 1
+                    counts["evictions"] += 1
             return block
 
         matches = 0
@@ -221,10 +220,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"-- {matches} matching rows; decoded {len(candidates)} of "
               f"{reader.num_blocks} blocks (N = {len(candidates)})")
         if args.repeat > 1 or args.decoded_cache > 0:
-            print(f"-- decoded cache: {stats.decoded_hits} hits, "
-                  f"{stats.decoded_misses} misses, "
-                  f"{stats.decoded_evictions} evictions "
-                  f"(hit rate {stats.decoded_hit_rate:.1%})")
+            lookups = counts["hits"] + counts["misses"]
+            hit_rate = counts["hits"] / lookups if lookups else 0.0
+            print(f"-- decoded cache: {counts['hits']} hits, "
+                  f"{counts['misses']} misses, "
+                  f"{counts['evictions']} evictions "
+                  f"(hit rate {hit_rate:.1%})")
             print(f"-- stages: decode {stage_ms['decode']:.2f} ms "
                   f"within total {stage_ms['total']:.2f} ms "
                   f"over {repeats} run(s)")

@@ -110,7 +110,7 @@ def aggregate(
                     maximum = block_max if maximum is None else max(maximum, block_max)
                 directory_hits += 1
                 continue
-        tuples = storage.read_block_id(block_id)
+        tuples = table._read_block_id(block_id)
         blocks_read += 1
         for t in tuples:
             if all(lo <= t[pos] <= hi for pos, lo, hi in bound):

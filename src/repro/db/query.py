@@ -10,12 +10,21 @@ quantity Figure 5.8 tabulates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.profile import QueryProfile
 from repro.relational.algebra import RangePredicate
 
-__all__ = ["RangeQuery", "QueryResult", "BoundPredicate", "filter_tuples"]
+if TYPE_CHECKING:
+    from repro.core.phi import OrdinalMapper
+
+__all__ = [
+    "RangeQuery",
+    "QueryResult",
+    "BoundPredicate",
+    "filter_tuples",
+    "leading_ordinal_range",
+]
 
 #: A predicate resolved against a schema: ``(position, lo, hi)``, both
 #: ends inclusive and clamped to the domain (``RangePredicate.bind``).
@@ -92,10 +101,25 @@ def filter_tuples(
 ) -> List[Tuple[int, ...]]:
     """The tuples satisfying every bound predicate, in input order.
 
-    The one per-tuple conjunctive test every tuple-at-a-time executor
-    shares (live selects, full scans, and the snapshot's scalar
-    fallback).
+    The one per-tuple conjunctive test of the block loop
+    (``Table._read_blocks``) on scalar-codec and heap tables, and the
+    oracle the ordinal-space filter is tested against.
     """
     return [
         t for t in tuples if all(lo <= t[pos] <= hi for pos, lo, hi in bound)
     ]
+
+
+def leading_ordinal_range(
+    mapper: "OrdinalMapper", lo: int, hi: int
+) -> Tuple[int, int]:
+    """The inclusive phi-ordinal range of tuples whose leading attribute
+    lies in ``[lo, hi]``.
+
+    phi is monotone in the leading attribute, so those tuples are one
+    contiguous ordinal run: ``lo * w0`` up to ``(hi + 1) * w0 - 1`` for
+    the leading weight ``w0``.  Every planner that prunes blocks by a
+    leading-attribute predicate starts from this range.
+    """
+    w0 = mapper.weights[0]
+    return lo * w0, (hi + 1) * w0 - 1

@@ -15,16 +15,17 @@ store keys each epoch's first ordinals once) gives the same
 contiguous-run pruning the primary index would for a leading-attribute
 predicate, and a point probe finds its one covering block the same way.
 
-On a vector-codec table every snapshot, and every reader thread, shares
-the table's one :class:`OrdinalCache`: ``block_id -> (payload, read-only
-int64 ordinal array)``.  Its version check is the payload itself.  Each
-read still fetches the block through the version store, so the bytes
+On an MVCC-enabled vector-codec table every snapshot, every reader
+thread and the table's own live selects share the table's one
+:class:`OrdinalCache`: ``block_id -> (payload, read-only int64 ordinal
+array)``.  Its version check is the payload itself.  Each read still
+fetches the block (a snapshot through the version store), so the bytes
 are CRC-verified (or come from the stash, which only keeps verified
 bytes); an entry answers only when its payload equals those bytes.
 Decode is a pure function of the payload, so equal bytes mean an equal
 array, whichever snapshot or block version asked.  Rot at rest changes
-the stored bytes, fails the fetch's CRC check and never reaches the
-cache; a rewritten block's new payload simply misses.
+the stored bytes, fails the fetch's CRC check, is quarantined and never
+reaches the cache; a rewritten block's new payload simply misses.
 
 A snapshot pins superseded block versions, so it must be closed;
 ``with table.read_snapshot() as snap: ...`` is the idiomatic form.
@@ -43,9 +44,9 @@ from repro.db.query import (
     BoundPredicate,
     QueryResult,
     RangeQuery,
-    filter_tuples,
+    leading_ordinal_range,
 )
-from repro.errors import QueryCancelled, QueryError
+from repro.errors import QueryError
 from repro.obs import runtime as _obs
 from repro.storage.mvcc import BlockVersionStore, SnapshotHandle
 
@@ -108,14 +109,15 @@ class TableSnapshot:
         anything else scans every entry.  Results are ordinal tuples in
         phi order, exactly as :meth:`Table.select` returns them.
 
-        Filtering is array-native when the table has an
-        :class:`OrdinalCache` (docs/SERVING.md): each block's sorted
-        ordinal array comes from the cache, a leading-attribute range
-        becomes one ``searchsorted`` slice (phi is monotone inside a
-        block), every other predicate a vector mask over that
-        attribute's digit, and tuples are built only for the survivors.
-        Other codecs keep the tuple-at-a-time filter.  Either way
-        ``tuples_examined`` counts every tuple of every block read.
+        The blocks are then read by the table's one block loop
+        (:meth:`Table._read_blocks`), the same one live selects use:
+        each payload comes from the version store at this snapshot's
+        csn, under the same quarantine check, checksum guard,
+        degraded-read policy and filter as a live read (docs/SERVING.md).
+        The one difference: a snapshot never repairs.  Under the
+        ``"repair"`` policy a corrupt block is quarantined and raises
+        :class:`~repro.errors.QuarantinedBlockError`, because only the
+        table's writer may write storage.
 
         ``should_cancel`` is the cooperative cancellation hook the
         serving layer threads in (docs/SERVING.md): it is polled before
@@ -126,60 +128,44 @@ class TableSnapshot:
         access cannot be interrupted, but it stops at the next boundary.
         """
         self._require_open()
-        bound = [p.bind(self._table.schema) for p in query.predicates]
+        table = self._table
+        bound = [p.bind(table.schema) for p in query.predicates]
         leading = next((b for b in bound if b[0] == 0), None)
         directory = self._handle.directory
-        ordinal_range: Optional[Tuple[int, int]] = None
         if leading is not None:
-            w = self._table.schema.mapper.weights[0]
-            ordinal_range = (leading[1] * w, (leading[2] + 1) * w - 1)
-            start = self._first_overlapping(ordinal_range[0])
-            stop = bisect_right(self._handle.firsts, ordinal_range[1])
-            candidates = directory[start:stop]
+            lo, hi = leading_ordinal_range(
+                table.schema.mapper, leading[1], leading[2]
+            )
+            start = self._first_overlapping(lo)
+            stop = bisect_right(self._handle.firsts, hi)
+            directory = directory[start:stop]
             access_path = "snapshot-directory"
         else:
-            candidates = directory
             access_path = "snapshot-scan"
-        cache = self._table.ordinal_cache
-        # The leading predicate becomes the slice; every other one —
-        # including a second predicate on the leading attribute — is
-        # masked.
-        masked = [b for b in bound if b is not leading]
-        out: List[Tuple[int, ...]] = []
-        examined = 0
+        candidates = [entry[0] for entry in directory]
         with _obs.span(
             "snapshot.select",
-            table=self._table.name,
+            table=table.name,
             csn=self.csn,
             candidates=len(candidates),
-            codec_path=self._table._codec_path(),
-            filter_path="tuple" if cache is None else "array",
+            codec_path=table._codec_path(),
+            filter_path="tuple" if table._array_codec() is None else "array",
         ):
-            for block_id, _first, _last, _count in candidates:
-                if should_cancel is not None and should_cancel():
-                    raise QueryCancelled(
-                        f"select on {self._table.name!r} cancelled at "
-                        f"block {block_id} (csn {self.csn})"
-                    )
-                payload = self._read_payload(block_id)
-                if cache is None:
-                    tuples = self._table.storage.decode_payload(payload)
-                    examined += len(tuples)
-                    out.extend(filter_tuples(tuples, bound))
-                else:
-                    examined += _filter_array(
-                        cache.codec,
-                        cache.ordinals(block_id, payload),
-                        ordinal_range,
-                        masked,
-                        out,
-                    )
+            scan = table._read_blocks(
+                candidates,
+                self._read_payload,
+                bound,
+                leading,
+                repair=False,
+                should_cancel=should_cancel,
+            )
         return QueryResult(
-            tuples=out,
-            blocks_read=len(candidates),
-            tuples_examined=examined,
+            tuples=scan.rows,
+            blocks_read=len(candidates) - len(scan.skipped),
+            tuples_examined=scan.examined,
             access_path=access_path,
-            candidate_blocks=[e[0] for e in candidates],
+            candidate_blocks=candidates,
+            skipped_blocks=scan.skipped,
         )
 
     def scan(self) -> List[Tuple[int, ...]]:
@@ -187,16 +173,23 @@ class TableSnapshot:
         return self.select(RangeQuery([])).tuples
 
     def contains(self, values: Sequence[int]) -> bool:
-        """Point probe against the frozen state."""
+        """Point probe against the frozen state.
+
+        Reads its one covering block through the same guarded fetch as
+        :meth:`select`, so a corrupt or quarantined block raises rather
+        than answering "absent".
+        """
         self._require_open()
         t = tuple(int(v) for v in values)
         mapper = self._table.schema.mapper
         mapper.validate(t)
-        ordinal = mapper.phi(t)
-        entry = self._covering_entry(ordinal)
+        entry = self._covering_entry(mapper.phi(t))
         if entry is None:
             return False
-        return t in self._read_tuples(entry[0])
+        payload = self._table._fetch_guarded(
+            entry[0], self._read_payload, repair=False
+        )
+        return t in self._table.storage.decode_payload(payload)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -253,12 +246,9 @@ class TableSnapshot:
             lambda: self._table._current_payload(block_id),
         )
 
-    def _read_tuples(self, block_id: int) -> List[Tuple[int, ...]]:
-        return self._table.storage.decode_payload(self._read_payload(block_id))
-
 
 class OrdinalCache:
-    """Decoded ordinal arrays of one table's blocks, shared by snapshots.
+    """Decoded ordinal arrays of one table's blocks, shared by every select.
 
     One entry per block id, ``(payload, ordinals)``: the last read wins.
     :meth:`ordinals` answers from an entry only when its payload equals
@@ -319,14 +309,8 @@ class OrdinalCache:
             if reg is not None:
                 reg.inc("snapshot.ordinal_cache_hits")
             return entry[1]
-        t0 = _obs.now_ms() if reg is not None else 0.0
-        ordinals = self.codec.decode_ordinals_array(payload)
+        ordinals = _decode_ordinals(self.codec, payload)
         if reg is not None:
-            # The counters BlockCodec.decode_ordinals keeps, which this
-            # direct call bypasses.
-            reg.inc("codec.ordinal_decodes")
-            reg.inc("codec.vector_decodes")
-            reg.observe("codec.decode_ms", _obs.now_ms() - t0)
             reg.inc("snapshot.ordinal_cache_misses")
         ordinals.setflags(write=False)
         with self._lock:
@@ -334,12 +318,37 @@ class OrdinalCache:
         self._tally()[1] += 1
         return ordinals
 
+    def tally(self) -> Tuple[int, int]:
+        """The calling thread's ``(hits, misses)`` so far.
+
+        A select takes this before and after its blocks: the difference
+        is exactly its own hits and misses, whatever other threads did.
+        """
+        tally = self._tally()
+        return tally[0], tally[1]
+
     def retain(self, directory: Iterable[Tuple[int, int, int, int]]) -> None:
         """Drop entries whose block id left ``directory`` (a publish)."""
         live = {entry[0] for entry in directory}
         with self._lock:
             for block_id in [b for b in self._entries if b not in live]:
                 del self._entries[block_id]
+
+
+def _decode_ordinals(vec: VectorizedBlockCodec, payload: bytes) -> np.ndarray:
+    """One block's sorted ordinal array, decoded and counted.
+
+    The counters :meth:`BlockCodec.decode_ordinals` keeps, which this
+    direct call to the vector codec would otherwise bypass.
+    """
+    reg = _obs.REGISTRY
+    t0 = _obs.now_ms() if reg is not None else 0.0
+    ordinals = vec.decode_ordinals_array(payload)
+    if reg is not None:
+        reg.inc("codec.ordinal_decodes")
+        reg.inc("codec.vector_decodes")
+        reg.observe("codec.decode_ms", _obs.now_ms() - t0)
+    return ordinals
 
 
 def _filter_array(

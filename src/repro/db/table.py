@@ -22,6 +22,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -30,8 +31,25 @@ from typing import (
 )
 
 from repro.core.codec import BlockCodec
-from repro.errors import CorruptionError, QuarantinedBlockError, QueryError
-from repro.db.query import QueryResult, RangeQuery, filter_tuples
+from repro.errors import (
+    CorruptionError,
+    QuarantinedBlockError,
+    QueryCancelled,
+    QueryError,
+)
+from repro.db.query import (
+    BoundPredicate,
+    QueryResult,
+    RangeQuery,
+    filter_tuples,
+    leading_ordinal_range,
+)
+from repro.db.snapshot import (
+    OrdinalCache,
+    TableSnapshot,
+    _decode_ordinals,
+    _filter_array,
+)
 from repro.obs import runtime as _obs
 from repro.obs.profile import QueryProfile, QueryProfiler
 from repro.index.hashindex import ExtendibleHashIndex
@@ -52,8 +70,8 @@ from repro.storage.integrity import (
 from repro.storage.wal import RecoveryReport, WriteAheadLog, recover
 
 if TYPE_CHECKING:  # circular at type level only
-    from repro.db.snapshot import OrdinalCache, TableSnapshot
-    from repro.storage.buffer import BufferPool, DecodedBlockCache
+    from repro.core.vectorized import VectorizedBlockCodec
+    from repro.storage.buffer import BufferPool
     from repro.storage.mvcc import BlockVersionStore
 
 __all__ = ["Table"]
@@ -61,6 +79,19 @@ __all__ = ["Table"]
 StorageFile = Union[AVQFile, HeapFile]
 
 _T = TypeVar("_T")
+
+
+class _BlockScan(NamedTuple):
+    """What :meth:`Table._read_blocks` hands back to its caller."""
+
+    rows: List[Tuple[int, ...]]
+    examined: int
+    skipped: List[int]
+    fetch_ms: float
+    filter_ms: float
+    #: This select's ordinal-cache hits and misses (0 without a cache).
+    cache_hits: int
+    cache_misses: int
 
 
 class Table:
@@ -74,7 +105,6 @@ class Table:
         *,
         index_order: int = 32,
         buffer_capacity: Optional[int] = None,
-        decoded_cache_capacity: Optional[int] = None,
         wal: Optional[WriteAheadLog] = None,
         degraded_reads: str = "raise",
         tuple_index: bool = False,
@@ -96,24 +126,10 @@ class Table:
         self._mvcc: Optional["BlockVersionStore"] = None
         self._ordinals: Optional["OrdinalCache"] = None
         self._buffer: Optional["BufferPool"] = None
-        self._decoded: Optional["DecodedBlockCache"] = None
-        if buffer_capacity is None and decoded_cache_capacity is not None:
-            # The decoded cache layers on a pool; give it one of matching
-            # size rather than making callers wire both knobs.
-            buffer_capacity = decoded_cache_capacity
         if buffer_capacity is not None:
             from repro.storage.buffer import BufferPool
 
             self._buffer = BufferPool(storage._disk, buffer_capacity)
-        if decoded_cache_capacity is not None:
-            from repro.storage.buffer import DecodedBlockCache
-
-            pool = self._buffer
-            if pool is None:  # unreachable: capacity defaulting above
-                raise QueryError("decoded cache requires a buffer pool")
-            self._decoded = DecodedBlockCache(
-                pool, decoded_cache_capacity, storage.decode_payload
-            )
         self._primary = PrimaryIndex.build(
             schema.mapper, storage.directory(), order=index_order
         )
@@ -175,16 +191,12 @@ class Table:
         index_order: int = 32,
         secondary_on: Sequence[str] = (),
         buffer_capacity: Optional[int] = None,
-        decoded_cache_capacity: Optional[int] = None,
         durable_path: Optional[str] = None,
         wal_sync: bool = True,
         degraded_reads: str = "raise",
         tuple_index: bool = False,
     ) -> "Table":
         """Materialise a relation and build the requested indices.
-
-        ``decoded_cache_capacity`` adds an LRU cache of decoded blocks so
-        repeated lookups skip decoding.
 
         ``durable_path`` opens a write-ahead log at that path: every
         mutation is logged, transaction commit forces the log, and
@@ -233,7 +245,6 @@ class Table:
             storage,
             index_order=index_order,
             buffer_capacity=buffer_capacity,
-            decoded_cache_capacity=decoded_cache_capacity,
             wal=wal,
             degraded_reads=degraded_reads,
             tuple_index=tuple_index,
@@ -252,7 +263,6 @@ class Table:
         index_order: int = 32,
         secondary_on: Sequence[str] = (),
         buffer_capacity: Optional[int] = None,
-        decoded_cache_capacity: Optional[int] = None,
         wal_sync: bool = True,
         degraded_reads: str = "raise",
         tuple_index: bool = False,
@@ -279,7 +289,6 @@ class Table:
             storage,
             index_order=index_order,
             buffer_capacity=buffer_capacity,
-            decoded_cache_capacity=decoded_cache_capacity,
             wal=wal,
             degraded_reads=degraded_reads,
             tuple_index=tuple_index,
@@ -424,35 +433,40 @@ class Table:
         return self._scan_all(bound)
 
     def _select_clustered(self, leading, bound) -> QueryResult:
-        _, lo, hi = leading
-        weights = self._schema.mapper.weights
-        lo_ordinal = lo * weights[0]
-        hi_ordinal = (hi + 1) * weights[0] - 1
-        block_ids = self._primary.range_blocks(lo_ordinal, hi_ordinal)
-        return self._filter_blocks(block_ids, bound, access_path="primary")
+        lo, hi = leading_ordinal_range(
+            self._schema.mapper, leading[1], leading[2]
+        )
+        block_ids = self._primary.range_blocks(lo, hi)
+        return self._filter_blocks(
+            block_ids, bound, access_path="primary", leading=leading
+        )
 
     def _read_block_id(self, block_id: int):
-        """Fetch and decode one block, through the caches where present.
+        """Fetch and decode one block to tuples, integrity-guarded."""
+        return self._storage.decode_payload(
+            self._fetch_guarded(block_id, self._current_payload)
+        )
 
-        The decoded-block cache is consulted first (a hit costs neither
-        I/O nor decode), then the raw buffer pool (a hit costs only the
-        decode), then the disk.  Every path is integrity-guarded: a
-        quarantined id is refused (or repaired, under the "repair"
-        policy) before any bytes move, and a read that trips corruption
-        quarantines the block and applies the degraded-read policy.
+    def _fetch_guarded(
+        self,
+        block_id: int,
+        source: Callable[[int], bytes],
+        *,
+        repair: bool = True,
+    ) -> bytes:
+        """``source(block_id)`` behind the quarantine and integrity guard.
+
+        A quarantined id is refused before any bytes move, and a fetch
+        that trips corruption quarantines the block and applies the
+        degraded-read policy (see :meth:`_guarded`).  ``repair=False``
+        is the reader-thread form: the "repair" policy then quarantines
+        and raises like "raise", because only the writer writes storage.
         """
         if self._integrity is not None:
-            self._integrity.check(block_id)
-        return self._guarded(lambda: self._read_block_id_raw(block_id))
+            self._integrity.check(block_id, repair=repair)
+        return self._guarded(lambda: source(block_id), repair=repair)
 
-    def _read_block_id_raw(self, block_id: int):
-        if self._decoded is not None:
-            return self._decoded.get(block_id)
-        if self._buffer is not None:
-            return self._storage.decode_payload(self._buffer.get(block_id))
-        return self._storage.read_block_id(block_id)
-
-    def _guarded(self, read: Callable[[], _T]) -> _T:
+    def _guarded(self, read: Callable[[], _T], *, repair: bool = True) -> _T:
         """Run a read under the integrity policy, retrying after repair.
 
         A :class:`~repro.errors.CorruptionError` quarantines the block;
@@ -470,7 +484,7 @@ class Table:
         try:
             return read()
         except CorruptionError as exc:
-            integ.resolve(exc)
+            integ.resolve(exc, repair=repair)
             return read()
 
     def _skip_degraded(self) -> bool:
@@ -481,11 +495,6 @@ class Table:
     def buffer_pool(self):
         """The table's buffer pool, or ``None`` when unbuffered."""
         return self._buffer
-
-    @property
-    def decoded_cache(self):
-        """The table's decoded-block cache, or ``None`` when absent."""
-        return self._decoded
 
     # ------------------------------------------------------------------
     # Snapshot reads (MVCC, docs/SERVING.md)
@@ -507,27 +516,41 @@ class Table:
         top-level mutation publishes (statement-level consistency).
 
         A table whose vector codec can decode also gets its
-        :attr:`ordinal_cache`, which every snapshot select reads through.
+        :attr:`ordinal_cache`, which every select reads through.
         """
         storage = self._require_avq("enable_mvcc")
         if self._mvcc is None:
-            from repro.db.snapshot import OrdinalCache
             from repro.storage.mvcc import BlockVersionStore
 
             self._mvcc = BlockVersionStore(storage.directory_entries())
-            vec = getattr(storage.codec, "vector_codec", None)
-            if vec is not None and vec.decode_supported:
+            vec = self._array_codec()
+            if vec is not None:
                 self._ordinals = OrdinalCache(vec)
         return self._mvcc
 
     @property
-    def ordinal_cache(self) -> Optional["OrdinalCache"]:
-        """Decoded ordinal arrays shared by snapshot selects, or ``None``.
+    def ordinal_cache(self) -> Optional[OrdinalCache]:
+        """Decoded ordinal arrays shared by every select, or ``None``.
 
         Present once :meth:`enable_mvcc` ran on a table whose vector
-        codec can decode; scalar-codec tables filter tuples instead.
+        codec can decode.  Without it such a table decodes every block
+        it reads; scalar-codec and heap tables filter tuples instead.
         """
         return self._ordinals
+
+    def _array_codec(self) -> Optional["VectorizedBlockCodec"]:
+        """The vector codec selects decode and filter ordinals with.
+
+        ``None`` for heap tables, scalar-codec tables and vector codecs
+        whose decode is not provably safe; those filter tuples.
+        """
+        if self._ordinals is not None:
+            return self._ordinals.codec
+        codec = getattr(self._storage, "codec", None)
+        vec = getattr(codec, "vector_codec", None)
+        if vec is not None and vec.decode_supported:
+            return vec
+        return None
 
     def read_snapshot(self) -> "TableSnapshot":
         """A pinned, consistent read-only view of the committed state.
@@ -541,8 +564,6 @@ class Table:
             raise QueryError(
                 "snapshot reads require enable_mvcc() on this table"
             )
-        from repro.db.snapshot import TableSnapshot
-
         return TableSnapshot(self, self._mvcc, self._mvcc.snapshot())
 
     def _current_payload(self, block_id: int) -> bytes:
@@ -551,13 +572,14 @@ class Table:
         Through the latched pool when present (it verifies on
         admission), else straight from disk and verified here, so rot
         surfaces as :class:`~repro.errors.CorruptionError` instead of
-        reaching a snapshot reader — or the MVCC stash — as bytes.
+        reaching a reader — or the MVCC stash — as bytes.  Heap blocks
+        carry no checksum.
         """
         if self._buffer is not None:
             return self._buffer.get(block_id)
-        storage = self._require_avq("snapshot reads")
         payload = self._disk().read_block(block_id)
-        storage.verify_payload(block_id, payload)
+        if isinstance(self._storage, AVQFile):
+            self._storage.verify_payload(block_id, payload)
         return payload
 
     def _mvcc_stash(self, block_id: int) -> None:
@@ -575,18 +597,98 @@ class Table:
             if self._ordinals is not None:
                 self._ordinals.retain(entries)
 
-    def _filter_blocks(self, block_ids, bound, *, access_path) -> QueryResult:
+    def _read_blocks(
+        self,
+        block_ids: Sequence[int],
+        source: Callable[[int], bytes],
+        bound: Sequence[BoundPredicate],
+        leading: Optional[BoundPredicate] = None,
+        *,
+        repair: bool = True,
+        should_cancel: Optional[Callable[[], bool]] = None,
+    ) -> _BlockScan:
+        """The one block loop behind every select, live or snapshot.
+
+        For each block id, in order: poll ``should_cancel``; fetch the
+        payload from ``source`` behind the quarantine check and the
+        integrity guard (:meth:`_fetch_guarded`); decode it; filter it.
+        A table with an :attr:`ordinal_cache` decodes through it, any
+        other decode-capable vector codec decodes to an ordinal array
+        directly, and both filter in ordinal space (``leading``, the
+        leading-attribute predicate, becomes one slice).  Scalar-codec
+        and heap tables decode tuples and run :func:`filter_tuples`.
+        Under the "skip" policy a quarantined block is listed in
+        ``skipped`` instead of raising.  ``fetch_ms`` covers fetch and
+        decode, ``filter_ms`` the filter (the Eq. 5.7 ``t1`` and
+        ``t_cpu`` terms, as far as the wall clock separates them).
+        """
+        cache = self._ordinals
+        vec = self._array_codec()
+        ordinal_range = None
+        if leading is not None:
+            ordinal_range = leading_ordinal_range(
+                self._schema.mapper, leading[1], leading[2]
+            )
+        masked = [b for b in bound if b is not leading]
+        skip = self._skip_degraded()
+        tally0 = cache.tally() if cache is not None else (0, 0)
+        out: List[Tuple[int, ...]] = []
+        examined = 0
+        skipped: List[int] = []
+        fetch_ms = filter_ms = 0.0
+        t0 = _obs.now_ms()
+        for block_id in block_ids:
+            if should_cancel is not None and should_cancel():
+                raise QueryCancelled(
+                    f"select on {self._name!r} cancelled at block "
+                    f"{block_id}"
+                )
+            try:
+                payload = self._fetch_guarded(block_id, source, repair=repair)
+            except QuarantinedBlockError:
+                if not skip:
+                    raise
+                skipped.append(block_id)
+                continue
+            if vec is None:
+                tuples = self._storage.decode_payload(payload)
+                t1 = _obs.now_ms()
+                examined += len(tuples)
+                out.extend(filter_tuples(tuples, bound))
+            else:
+                if cache is not None:
+                    ordinals = cache.ordinals(block_id, payload)
+                else:
+                    ordinals = _decode_ordinals(vec, payload)
+                t1 = _obs.now_ms()
+                examined += _filter_array(
+                    vec, ordinals, ordinal_range, masked, out
+                )
+            t2 = _obs.now_ms()
+            fetch_ms += t1 - t0
+            filter_ms += t2 - t1
+            t0 = t2
+        fetch_ms += _obs.now_ms() - t0
+        tally = cache.tally() if cache is not None else (0, 0)
+        return _BlockScan(
+            rows=out,
+            examined=examined,
+            skipped=skipped,
+            fetch_ms=fetch_ms,
+            filter_ms=filter_ms,
+            cache_hits=tally[0] - tally0[0],
+            cache_misses=tally[1] - tally0[1],
+        )
+
+    def _filter_blocks(
+        self, block_ids, bound, *, access_path, leading=None
+    ) -> QueryResult:
         disk = self._disk()
         start_ms = disk.stats.elapsed_ms
         profiler = QueryProfiler(
             disk.stats,
             self._buffer.stats if self._buffer is not None else None,
         )
-        out: List[Tuple[int, ...]] = []
-        examined = 0
-        skipped: List[int] = []
-        fetch_ms = 0.0
-        filter_ms = 0.0
         with _obs.span(
             "query.select",
             table=self._name,
@@ -594,95 +696,39 @@ class Table:
             candidates=len(block_ids),
             codec_path=self._codec_path(),
         ):
-            for block_id in block_ids:
-                t0 = _obs.now_ms()
-                try:
-                    tuples = self._read_block_id(block_id)
-                except QuarantinedBlockError:
-                    fetch_ms += _obs.now_ms() - t0
-                    if not self._skip_degraded():
-                        raise
-                    skipped.append(block_id)
-                    continue
-                t1 = _obs.now_ms()
-                fetch_ms += t1 - t0
-                examined += len(tuples)
-                out.extend(filter_tuples(tuples, bound))
-                filter_ms += _obs.now_ms() - t1
+            scan = self._read_blocks(
+                block_ids, self._current_payload, bound, leading
+            )
         profile = profiler.finish(
             access_path=access_path,
             candidate_blocks=len(block_ids),
-            tuples_examined=examined,
-            matched=len(out),
-            skipped_blocks=len(skipped),
-            stages={"fetch_decode": fetch_ms, "filter": filter_ms},
+            tuples_examined=scan.examined,
+            matched=len(scan.rows),
+            skipped_blocks=len(scan.skipped),
+            decoded_hits=scan.cache_hits,
+            decoded_misses=scan.cache_misses,
+            stages={"fetch_decode": scan.fetch_ms, "filter": scan.filter_ms},
         )
         self._publish_query_metrics(profile)
         return QueryResult(
-            tuples=out,
-            blocks_read=len(block_ids) - len(skipped),
-            tuples_examined=examined,
+            tuples=scan.rows,
+            blocks_read=len(block_ids) - len(scan.skipped),
+            tuples_examined=scan.examined,
             access_path=access_path,
             io_ms=disk.stats.elapsed_ms - start_ms,
             candidate_blocks=list(block_ids),
-            skipped_blocks=skipped,
+            skipped_blocks=scan.skipped,
             profile=profile,
         )
 
     def _scan_all(self, bound=()) -> QueryResult:
-        # A full scan visits every block by id through the guarded read
-        # path (caches, quarantine, degraded-read policy); the heap
-        # baseline has no integrity layer and scans storage directly.
-        if isinstance(self._storage, AVQFile):
-            result = self._filter_blocks(
-                self._storage.block_ids, bound, access_path="scan"
-            )
-            result.candidate_blocks = []
-            return result
-        disk = self._disk()
-        start_ms = disk.stats.elapsed_ms
-        profiler = QueryProfiler(disk.stats)
-        out: List[Tuple[int, ...]] = []
-        examined = 0
-        blocks = 0
-        fetch_ms = 0.0
-        filter_ms = 0.0
-        with _obs.span(
-            "query.select",
-            table=self._name,
-            access_path="scan",
-            codec_path=self._codec_path(),
-        ):
-            block_iter = iter(self._storage.iter_blocks())
-            while True:
-                t0 = _obs.now_ms()
-                try:
-                    _, tuples = next(block_iter)
-                except StopIteration:
-                    fetch_ms += _obs.now_ms() - t0
-                    break
-                t1 = _obs.now_ms()
-                fetch_ms += t1 - t0
-                blocks += 1
-                examined += len(tuples)
-                out.extend(filter_tuples(tuples, bound))
-                filter_ms += _obs.now_ms() - t1
-        profile = profiler.finish(
-            access_path="scan",
-            candidate_blocks=blocks,
-            tuples_examined=examined,
-            matched=len(out),
-            stages={"fetch_decode": fetch_ms, "filter": filter_ms},
+        # A full scan visits every block by id through the same block
+        # loop as any other select; a scan lists no candidate blocks.
+        result = self._filter_blocks(
+            self._storage.block_ids, bound, access_path="scan"
         )
-        self._publish_query_metrics(profile)
-        return QueryResult(
-            tuples=out,
-            blocks_read=blocks,
-            tuples_examined=examined,
-            access_path="scan",
-            io_ms=disk.stats.elapsed_ms - start_ms,
-            profile=profile,
-        )
+        result.candidate_blocks = []
+        return result
 
     def _codec_path(self) -> str:
         """Which decode implementation this table's reads run through."""
@@ -1077,10 +1123,6 @@ class Table:
             # A probe must never answer "absent" from a quarantined
             # block — refuse (or repair) before looking.
             self._integrity.check(storage.block_id_at(pos))
-        if self._decoded is not None:
-            # Decode through the cache: the first probe of a block
-            # pays one decode, every repeat probe is free.
-            return t in self._decoded.get(storage.block_id_at(pos))
         return storage.contains_ordinal(ordinal)
 
     def delete_where(self, query: RangeQuery) -> int:

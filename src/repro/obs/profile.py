@@ -3,7 +3,7 @@
 Figure 5.8's metric is ``N`` — data blocks accessed per range query.
 :class:`QueryProfile` captures exactly that for every *live* query, plus
 the Figure 5.9 stage decomposition (I/O time, decode time, filter time)
-and the cache story (raw-payload and decoded-block hits), so any single
+and the cache story (raw-payload and ordinal-cache hits), so any single
 ``table.select`` can be explained the way the paper explains its
 averages.
 
@@ -38,6 +38,9 @@ class QueryProfile:
     a warm cache is precisely the absence of block accesses.
     ``stages`` holds wall-clock milliseconds per stage (``fetch_decode``
     — block fetch plus AVQ decode; ``filter`` — predicate evaluation).
+    ``decoded_hits``/``decoded_misses`` count this query's blocks that
+    the table's ordinal cache answered or had to decode (both 0 on a
+    table without one).
     """
 
     access_path: str
@@ -135,11 +138,8 @@ class QueryProfiler:
         if buffer_stats is not None:
             self._hits0 = buffer_stats.hits
             self._misses0 = buffer_stats.misses
-            self._dec_hits0 = buffer_stats.decoded_hits
-            self._dec_misses0 = buffer_stats.decoded_misses
         else:
             self._hits0 = self._misses0 = 0
-            self._dec_hits0 = self._dec_misses0 = 0
 
     def finish(
         self,
@@ -149,18 +149,22 @@ class QueryProfiler:
         tuples_examined: int,
         matched: int,
         skipped_blocks: int = 0,
+        decoded_hits: int = 0,
+        decoded_misses: int = 0,
         stages: Optional[Dict[str, float]] = None,
     ) -> QueryProfile:
-        """Close the bracket and build the profile."""
+        """Close the bracket and build the profile.
+
+        The decoded-block counts come from the caller, which counted
+        its own ordinal-cache traffic; the raw-payload counts are pool
+        deltas.
+        """
         buffer = self._buffer
         if buffer is not None:
             cache_hits = buffer.hits - self._hits0
             cache_misses = buffer.misses - self._misses0
-            decoded_hits = buffer.decoded_hits - self._dec_hits0
-            decoded_misses = buffer.decoded_misses - self._dec_misses0
         else:
             cache_hits = cache_misses = 0
-            decoded_hits = decoded_misses = 0
         return QueryProfile(
             access_path=access_path,
             candidate_blocks=candidate_blocks,

@@ -35,12 +35,14 @@ for many concurrent clients:
 
 Thread-safety inventory (what the reader threads may touch):
 the :class:`~repro.storage.mvcc.BlockVersionStore` (latched), the
-:class:`~repro.storage.buffer.BufferPool` (latched, shared latch with
-its decoded cache), each table's
+:class:`~repro.storage.buffer.BufferPool` (latched), each table's
 :class:`~repro.db.snapshot.OrdinalCache` (lock-free hits over read-only
-arrays, latched stores), the simulated disk's block dict (single dict
-ops, atomic under CPython), and immutable schema/codec objects.  The live
-indices and the WAL belong to the writer alone.
+arrays, latched stores), each table's
+:class:`~repro.storage.integrity.QuarantineSet` (a reader that finds a
+corrupt block quarantines it; single dict ops), the simulated disk's
+block dict (single dict ops, atomic under CPython), and immutable
+schema/codec objects.  The live indices and the WAL belong to the
+writer alone, and only the writer repairs.
 """
 
 from __future__ import annotations
@@ -596,11 +598,19 @@ class ReproServer:
                 RangeQuery(predicates), should_cancel=cancel.is_set
             )
             rows = [schema.decode_tuple(t) for t in result.tuples]
+            # A degraded answer ("skip" policy) names what it left out,
+            # so it is never silent on the wire.
+            degraded = (
+                {"skipped_blocks": result.skipped_blocks}
+                if result.skipped_blocks
+                else {}
+            )
             return ok_response(
                 rows=rows,
                 count=len(rows),
                 csn=snapshot.csn,
                 blocks_read=result.blocks_read,
+                **degraded,
             )
 
     def _exec_write(self, request: Dict[str, Any]) -> Dict[str, Any]:

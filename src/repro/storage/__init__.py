@@ -14,7 +14,7 @@
 
 from repro.storage.avqfile import AVQFile
 from repro.storage.block import DEFAULT_BLOCK_SIZE, Block
-from repro.storage.buffer import BufferPool, BufferStats, DecodedBlockCache
+from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.disk import DiskModel, DiskStats, SimulatedDisk
 from repro.storage.extsort import bulk_load, external_sort_ordinals
 from repro.storage.faults import (
@@ -62,7 +62,6 @@ __all__ = [
     "SimulatedDisk",
     "BufferPool",
     "BufferStats",
-    "DecodedBlockCache",
     "PackStats",
     "PackedPartition",
     "pack_ordinals",

@@ -1,4 +1,4 @@
-"""An LRU buffer pool over the simulated disk, plus a decoded-block cache.
+"""An LRU buffer pool over the simulated disk.
 
 Database engines never read blocks straight off the disk for every
 access; a buffer pool absorbs re-reads.  The pool is deliberately simple
@@ -10,24 +10,16 @@ behaviour of a compressed relation (more tuples per cached block means a
 higher tuple hit rate for the same pool size).
 
 For a *compressed* relation a repeat access still pays the decode cost
-``t2`` even when the raw payload is resident.  :class:`DecodedBlockCache`
-layers a second LRU on top of the pool, keyed by the same disk block id
-but holding the **decoded tuples**, so repeated point and range lookups
-skip RLE decoding entirely.  The layering keeps invalidation honest: a
-block rewritten on disk (Section 4.2 mutation, block split, compaction)
-is invalidated through :meth:`BufferPool.invalidate`, and the pool
-cascades the drop to every attached decoded cache — a stale payload and
-a stale decode are the same bug.
+``t2`` even when the raw payload is resident.  Decoded blocks are cached
+one layer up, by the table's ordinal cache
+(:class:`repro.db.snapshot.OrdinalCache`), whose version check is the
+payload itself, so the pool needs no invalidation hook for it.
 
-Both caches are **latched**: one shared reentrant lock per pool (adopted
-by every attached decoded cache) serializes LRU reordering, eviction,
-and stats updates, so the concurrent serving layer's reader threads
-(:mod:`repro.server`) can share a pool without corrupting eviction
-state or double-counting stats.  The latch is deliberately coarse — a
-single lock covering pool and caches — because the alternative (a lock
-per layer) deadlocks on the invalidation cascade: a decoded-cache get
-takes cache-then-pool while an invalidate takes pool-then-cache.
-Single-threaded callers pay one uncontended RLock acquire per access.
+The pool is **latched**: one reentrant lock serializes LRU reordering,
+eviction, and stats updates, so the concurrent serving layer's reader
+threads (:mod:`repro.server`) can share a pool without corrupting
+eviction state or double-counting stats.  Single-threaded callers pay
+one uncontended RLock acquire per access.
 """
 
 from __future__ import annotations
@@ -35,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
 from repro.errors import StorageError
 from repro.obs import runtime as _obs
@@ -45,10 +37,7 @@ from repro.storage.disk import SimulatedDisk
 if TYPE_CHECKING:  # circular at type level only
     from repro.storage.integrity import QuarantineSet
 
-__all__ = ["BufferPool", "BufferStats", "DecodedBlockCache"]
-
-#: Type of the payload -> tuples decoder a decoded cache runs on a miss.
-Decoder = Callable[[bytes], List[Tuple[int, ...]]]
+__all__ = ["BufferPool", "BufferStats"]
 
 #: Type of the integrity check a pool runs on every payload it admits:
 #: ``(block_id, payload)``, raising
@@ -58,23 +47,19 @@ Verifier = Callable[[int, bytes], None]
 
 @dataclass
 class BufferStats:
-    """Hit/miss counters for a buffer pool and its decoded-block cache.
+    """Hit/miss counters for a buffer pool.
 
     ``hits``/``misses`` count raw-payload accesses through
-    :meth:`BufferPool.get`; the ``decoded_*`` counters count tuple-level
-    accesses through :meth:`DecodedBlockCache.get`.  Eviction counters
-    are *lifetime* tallies of cache churn: :meth:`reset` zeroes the
-    hit/miss window but deliberately leaves them standing, so a caller
-    that resets between measurement phases still sees how much eviction
-    pressure the whole run generated.
+    :meth:`BufferPool.get`.  ``evictions`` is a *lifetime* tally of
+    cache churn: :meth:`reset` zeroes the hit/miss window but
+    deliberately leaves it standing, so a caller that resets between
+    measurement phases still sees how much eviction pressure the whole
+    run generated.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    decoded_hits: int = 0
-    decoded_misses: int = 0
-    decoded_evictions: int = 0
 
     @property
     def accesses(self) -> int:
@@ -88,32 +73,19 @@ class BufferStats:
             return 0.0
         return self.hits / self.accesses
 
-    @property
-    def decoded_accesses(self) -> int:
-        """Total decoded-block get() calls served."""
-        return self.decoded_hits + self.decoded_misses
-
-    @property
-    def decoded_hit_rate(self) -> float:
-        """Fraction of accesses served without decoding (0.0 when fresh)."""
-        if self.decoded_accesses == 0:
-            return 0.0
-        return self.decoded_hits / self.decoded_accesses
-
     def as_dict(self) -> Dict[str, Union[int, float]]:
         """All counters plus derived rates, under stable keys.
 
-        The derived ``hit_rate``/``decoded_hit_rate`` are included so a
-        snapshot taken right after :meth:`reset` reads 0.0 — never a
-        division error — and exporters need no recomputation.
+        The derived ``hit_rate`` is included so a snapshot taken right
+        after :meth:`reset` reads 0.0 — never a division error — and
+        exporters need no recomputation.
         """
         out = snapshot_dataclass(self)
         out["hit_rate"] = self.hit_rate
-        out["decoded_hit_rate"] = self.decoded_hit_rate
         return out
 
     def reset(self) -> None:
-        """Zero the hit/miss window; eviction counts survive.
+        """Zero the hit/miss window; the eviction count survives.
 
         Evictions measure lifetime cache pressure, not a per-phase rate —
         zeroing them with the window would silently understate churn in
@@ -121,8 +93,6 @@ class BufferStats:
         """
         self.hits = 0
         self.misses = 0
-        self.decoded_hits = 0
-        self.decoded_misses = 0
 
 
 class BufferPool:
@@ -134,13 +104,11 @@ class BufferPool:
         self._disk = disk
         self._capacity = capacity
         self._frames: "OrderedDict[int, bytes]" = OrderedDict()
-        self._decoded_caches: List["DecodedBlockCache"] = []
         self._verifier: Optional[Verifier] = None
         self._quarantine: Optional["QuarantineSet"] = None
-        #: One latch for the pool *and* every attached decoded cache —
-        #: see the module docstring for why it must be shared.  The
-        #: serving layer's shared-structure inventory (docs/SERVING.md)
-        #: lists this latch alongside the R010 module-level registry.
+        #: The serving layer's shared-structure inventory
+        #: (docs/SERVING.md) lists this latch alongside the R010
+        #: module-level registry.
         self._latch = threading.RLock()
         self.stats = BufferStats()
 
@@ -156,7 +124,7 @@ class BufferPool:
 
     @property
     def latch(self) -> "threading.RLock":
-        """The shared pool/decoded-cache lock (reentrant).
+        """The pool's lock (reentrant).
 
         Exposed so callers that need a multi-step atomic view (the
         hammer tests, the serving layer's stats snapshots) can hold it
@@ -219,145 +187,17 @@ class BufferPool:
     def check_quarantine(self, block_id: int) -> None:
         """Raise :class:`~repro.errors.QuarantinedBlockError` if barred.
 
-        A no-op when no quarantine set is attached.  The decoded-block
-        cache calls this on its own hits, which never touch the pool.
+        A no-op when no quarantine set is attached.
         """
         if self._quarantine is not None:
             self._quarantine.check(block_id)
 
-    def attach_decoded_cache(self, cache: "DecodedBlockCache") -> None:
-        """Register a decoded cache for invalidation cascade.
-
-        Called by :class:`DecodedBlockCache` itself; after attachment,
-        :meth:`invalidate` and :meth:`clear` also drop the corresponding
-        decoded entries — a rewritten payload makes the decode stale too.
-        """
-        with self._latch:
-            if cache not in self._decoded_caches:
-                self._decoded_caches.append(cache)
-
     def invalidate(self, block_id: int) -> None:
-        """Drop a block from the pool (after it was rewritten on disk).
-
-        Cascades to every attached decoded cache: the decoded tuples of a
-        rewritten block are exactly as stale as its payload.
-        """
+        """Drop a block from the pool (after it was rewritten on disk)."""
         with self._latch:
             self._frames.pop(block_id, None)
-            for cache in self._decoded_caches:
-                cache.drop(block_id)
 
     def clear(self) -> None:
-        """Empty the pool and attached decoded caches (counters are kept;
-        use ``stats.reset()``)."""
-        with self._latch:
-            self._frames.clear()
-            for cache in self._decoded_caches:
-                cache.drop_all()
-
-
-class DecodedBlockCache:
-    """Fixed-capacity LRU cache of *decoded* blocks over a buffer pool.
-
-    Keyed by disk block id, like the pool underneath.  A hit returns the
-    cached tuple list with no I/O and no decode; a miss fetches the
-    payload through the pool (which may itself hit or miss) and decodes
-    it once.  Counters live on the shared ``pool.stats`` so one object
-    tells the whole caching story.
-
-    The cache registers itself with the pool, so the pool's
-    ``invalidate``/``clear`` — the calls every Section 4.2 mutation path
-    already makes — keep it consistent for free.
-
-    Callers must treat returned lists as immutable: the same list object
-    is handed to every hit.
-    """
-
-    def __init__(
-        self, pool: BufferPool, capacity: int, decoder: Decoder
-    ) -> None:
-        if capacity < 1:
-            raise StorageError(
-                f"decoded cache capacity must be >= 1, got {capacity}"
-            )
-        self._pool = pool
-        self._capacity = capacity
-        self._decoder = decoder
-        self._frames: "OrderedDict[int, List[Tuple[int, ...]]]" = OrderedDict()
-        # Adopt the pool's latch rather than owning one: a get here takes
-        # cache-then-pool while an invalidate takes pool-then-cache, so
-        # two locks would deadlock (see module docstring).
-        self._latch = pool.latch
-        pool.attach_decoded_cache(self)
-
-    @property
-    def pool(self) -> BufferPool:
-        """The raw-payload pool underneath."""
-        return self._pool
-
-    @property
-    def capacity(self) -> int:
-        """Maximum decoded blocks held."""
-        return self._capacity
-
-    @property
-    def resident(self) -> int:
-        """Decoded blocks currently cached."""
-        return len(self._frames)
-
-    @property
-    def stats(self) -> BufferStats:
-        """The shared counters (same object as ``pool.stats``)."""
-        return self._pool.stats
-
-    def get(self, block_id: int) -> List[Tuple[int, ...]]:
-        """Return a block's decoded tuples, decoding only on a miss."""
-        with self._latch:
-            self._pool.check_quarantine(block_id)
-            reg = _obs.REGISTRY
-            cached = self._frames.get(block_id)
-            if cached is not None:
-                self._frames.move_to_end(block_id)
-                self.stats.decoded_hits += 1
-                if reg is not None:
-                    reg.inc("cache.decoded_hits")
-                return cached
-            tuples = self._decoder(self._pool.get(block_id))
-            self.stats.decoded_misses += 1
-            if reg is not None:
-                reg.inc("cache.decoded_misses")
-            self._frames[block_id] = tuples
-            if len(self._frames) > self._capacity:
-                self._frames.popitem(last=False)
-                self.stats.decoded_evictions += 1
-                if reg is not None:
-                    reg.inc("cache.decoded_evictions")
-            return tuples
-
-    def peek(self, block_id: int) -> Optional[List[Tuple[int, ...]]]:
-        """The cached decode of a block, or ``None`` — never decodes.
-
-        Point probes use this to exploit a warm cache without forcing a
-        full block decode on a cold one (the early-exit difference-stream
-        probe is cheaper than decoding when the block is cold).
-        """
-        with self._latch:
-            self._pool.check_quarantine(block_id)
-            cached = self._frames.get(block_id)
-            if cached is not None:
-                self._frames.move_to_end(block_id)
-                self.stats.decoded_hits += 1
-                reg = _obs.REGISTRY
-                if reg is not None:
-                    reg.inc("cache.decoded_hits")
-            return cached
-
-    def drop(self, block_id: int) -> None:
-        """Forget one block's decode (no-op if absent)."""
-        with self._latch:
-            self._frames.pop(block_id, None)
-
-    def drop_all(self) -> None:
-        """Forget every decode (counters are kept; use ``stats.reset()``)."""
+        """Empty the pool (counters are kept; use ``stats.reset()``)."""
         with self._latch:
             self._frames.clear()

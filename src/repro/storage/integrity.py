@@ -81,9 +81,15 @@ class QuarantineSet:
 
     Quarantine is containment, not diagnosis: once a block is listed
     here, no caller gets its bytes until a verified repair releases it.
-    The set is shared between a table's buffer pool, decoded cache, and
-    direct storage reads, so there is exactly one authority on which
+    The set is shared between a table's buffer pool and every read path
+    (live, snapshot, served), so there is exactly one authority on which
     blocks are suspect.
+
+    Reader threads quarantine too, concurrently with the writer, so
+    every mutation and every read here is one dict operation that runs
+    without releasing the GIL (``setdefault``, ``pop``, ``get``, the
+    C-level iteration in ``sorted``): no lock, and no reader ever sees a
+    half-applied change.
     """
 
     def __init__(self, *, path: Optional[str] = None):
@@ -105,7 +111,11 @@ class QuarantineSet:
         return self._reasons.get(block_id)
 
     def quarantine(self, block_id: int, reason: str) -> None:
-        """Bar a block from all reads (idempotent; first reason wins)."""
+        """Bar a block from all reads (idempotent; first reason wins).
+
+        One ``setdefault``, so when two threads quarantine the same
+        block at once exactly one reason is kept.
+        """
         self._reasons.setdefault(block_id, reason)
 
     def release(self, block_id: int) -> None:
@@ -618,17 +628,18 @@ class IntegrityManager:
         """Provide the repair sources (the table knows its indices)."""
         self._engine = engine
 
-    def check(self, block_id: int) -> None:
+    def check(self, block_id: int, *, repair: bool = True) -> None:
         """Gate a read on the quarantine, honouring the repair policy.
 
         Under ``"repair"``, a quarantined block triggers a repair
         attempt instead of an immediate refusal; only a failed repair
-        raises.  Under any other policy a quarantined id raises
-        :class:`~repro.errors.QuarantinedBlockError` directly.
+        raises.  Under any other policy, or with ``repair=False`` (a
+        reader thread, which must not write storage), a quarantined id
+        raises :class:`~repro.errors.QuarantinedBlockError` directly.
         """
         if block_id not in self._quarantine:
             return
-        if self._policy == "repair" and self._engine is not None:
+        if repair and self._policy == "repair" and self._engine is not None:
             position = self._storage.position_of_id(block_id)
             if position is not None:
                 try:
@@ -648,7 +659,7 @@ class IntegrityManager:
         self._quarantine.quarantine(exc.block_id, str(exc))
         self._invalidate(exc.block_id)
 
-    def resolve(self, exc: CorruptionError) -> None:
+    def resolve(self, exc: CorruptionError, *, repair: bool = True) -> None:
         """Apply the degraded-read policy to a fresh corruption hit.
 
         Quarantines first (containment is unconditional).  Returns
@@ -656,9 +667,10 @@ class IntegrityManager:
         read; otherwise raises :class:`~repro.errors.QuarantinedBlockError`
         chained to the original corruption (the ``"skip"`` policy is
         honoured by *query loops*, which catch that error per block).
+        ``repair=False`` never attempts a repair, as in :meth:`check`.
         """
         self.note_corruption(exc)
-        if self._policy == "repair" and self._engine is not None:
+        if repair and self._policy == "repair" and self._engine is not None:
             position = (
                 exc.position
                 if exc.position is not None

@@ -11,12 +11,17 @@ at the table and query layers:
   redundant structure, transparently to the caller.
 
 Plus the cache-coherence regression: a repair must invalidate the
-buffer pool and decoded-block cache so no stale (pre-corruption or
-pre-repair) copy is ever served, including after further mutations.
+buffer pool, and the ordinal cache must never serve a stale
+(pre-corruption or pre-repair) decode, including after further
+mutations.
 """
+
+import sys
+import threading
 
 import pytest
 
+from repro.db.aggregates import aggregate
 from repro.db.database import Database
 from repro.db.query import RangeQuery
 from repro.db.table import Table
@@ -36,14 +41,13 @@ def build(policy, *, rows=220, tuple_index=True, seed=1, caches=False):
     values = [(i, i % 9, i % 4) for i in range(rows)]
     schema = SchemaInferencer().infer(values, ["a", "b", "c"])
     relation = Relation.from_values(schema, values)
-    kwargs = {}
-    if caches:
-        kwargs = {"buffer_capacity": 8, "decoded_cache_capacity": 8}
     table = Table.from_relation(
         "t", relation, disk,
         degraded_reads=policy, tuple_index=tuple_index,
-        secondary_on=["b"], **kwargs,
+        secondary_on=["b"], buffer_capacity=8 if caches else None,
     )
+    if caches:
+        table.enable_mvcc()  # adds the ordinal cache
     return table, disk
 
 
@@ -84,6 +88,20 @@ class TestRaisePolicy:
         # a clustered query over block 0's range avoids the bad block
         result = table.select(RangeQuery.between("a", 0, 5))
         assert result.cardinality == 6
+
+    def test_aggregate_reads_through_the_guard(self):
+        """Aggregates read blocks like selects: a rotted block raises
+        QuarantinedBlockError and is quarantined, and a second call is
+        refused before any disk read."""
+        table, disk = build("raise")
+        target = table.storage.block_ids[0]
+        disk.rot_block(target)
+        for _ in range(2):
+            reads = disk.stats.blocks_read
+            with pytest.raises(QuarantinedBlockError, match=str(target)):
+                aggregate(table, "sum", "b", ALL)
+            assert table.quarantined_blocks == [target]
+        assert disk.stats.blocks_read == reads
 
     def test_insert_into_quarantined_block_raises(self):
         table, disk = build("raise")
@@ -155,6 +173,51 @@ class TestSkipPolicy:
             table.contains((0, 0, 0))
 
 
+class TestConcurrentReaders:
+    def test_reader_threads_quarantine_alike(self):
+        """More reader threads than cores, a short switch interval, two
+        blocks rotted at rest: every snapshot select skips exactly
+        those blocks, and the shared quarantine ends holding both, each
+        under one reason."""
+        table, disk = build("skip")
+        table.enable_mvcc()
+        rotted = sorted(table.storage.block_ids[p] for p in (1, 3))
+        for block_id in rotted:
+            disk.rot_block(block_id)
+        results, errors = [], []
+
+        def reader():
+            try:
+                for _ in range(5):
+                    with table.read_snapshot() as snap:
+                        results.append(snap.select(ALL))
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert len(results) == 30
+        want = table.select(ALL)
+        assert want.skipped_blocks == rotted
+        for result in results:
+            assert result.skipped_blocks == rotted
+            assert result.tuples == want.tuples
+        assert table.quarantined_blocks == rotted
+        quarantine = table.integrity.quarantine
+        for block_id in rotted:
+            assert str(block_id) in quarantine.reason_for(block_id)
+
+
 class TestRepairPolicy:
     def test_scan_repairs_transparently(self):
         table, disk = build("repair")
@@ -199,7 +262,7 @@ class TestCacheCoherence:
         table, disk = build("repair", caches=True)
         storage = table.storage
         assert table.buffer_pool is not None
-        assert table.decoded_cache is not None
+        assert table.ordinal_cache is not None
         # warm every cache layer
         baseline = table.select(ALL)
         assert baseline.cardinality == len(table)

@@ -1,6 +1,6 @@
-"""The ordinal cache behind snapshot selects on vector-codec tables.
+"""The ordinal cache behind every select on MVCC vector-codec tables.
 
-Every snapshot and reader thread of a table shares one
+Every snapshot, reader thread and live select of a table shares one
 :class:`~repro.db.snapshot.OrdinalCache`.  An entry answers only when
 its payload equals the bytes the read just fetched and verified, so
 these tests pin the three things that make sharing it safe: rot is
@@ -15,7 +15,7 @@ import pytest
 
 from repro.db.query import RangeQuery
 from repro.db.table import Table
-from repro.errors import CorruptionError
+from repro.errors import QuarantinedBlockError
 from repro.obs import runtime
 from repro.relational.algebra import RangePredicate
 from repro.relational.domain import IntegerRangeDomain
@@ -62,7 +62,8 @@ class TestHitsAndCounters:
                 second = snap.select(query)
         blocks = table.num_blocks
         assert first.tuples == second.tuples == table.select(query).tuples
-        assert (cache.misses, cache.hits) == (blocks, blocks)
+        # The live select read through the same cache: all hits.
+        assert (cache.misses, cache.hits) == (blocks, 2 * blocks)
         assert len(cache) == blocks
         # Decode counters move only when a decode runs.
         assert registry.value("codec.ordinal_decodes") == blocks
@@ -96,7 +97,7 @@ class TestHitsAndCounters:
         assert cache.misses > misses
         assert len(cache) <= table.num_blocks
 
-    def test_no_cache_on_scalar_tables_and_no_traffic_from_live_selects(
+    def test_no_cache_on_scalar_tables_and_live_selects_read_through_it(
         self,
     ):
         wide = (1 << 16,) * 4
@@ -107,8 +108,18 @@ class TestHitsAndCounters:
         with scalar.read_snapshot() as snap:
             assert len(snap.scan()) == 20
         table = make_table()
-        table.select(RangeQuery([RangePredicate("a1", 0, 3)]))
-        assert len(table.ordinal_cache) == 0
+        query = RangeQuery([RangePredicate("a1", 0, 3)])
+        first = table.select(query)
+        blocks = table.num_blocks
+        assert len(table.ordinal_cache) == blocks
+        assert first.profile.decoded_misses == blocks
+        second = table.select(query)
+        assert second.tuples == first.tuples
+        profile = second.profile
+        assert (profile.decoded_hits, profile.decoded_misses) == (blocks, 0)
+        with table.read_snapshot() as snap:
+            assert snap.select(query).tuples == first.tuples
+        assert table.ordinal_cache.misses == blocks
 
     def test_reader_threads_share_one_cache(self):
         """More readers than cores with a short switch interval: every
@@ -134,13 +145,13 @@ class TestHitsAndCounters:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        want = table.select(query).tuples
+        want = table.select(query).tuples  # one more read of every block
         assert len(results) == readers * rounds
         assert all(r == want for r in results)
         cache = table.ordinal_cache
         blocks = table.num_blocks
         assert len(cache) == blocks
-        assert cache.hits + cache.misses == readers * rounds * blocks
+        assert cache.hits + cache.misses == (readers * rounds + 1) * blocks
         # A race may decode a block twice, never more than once per thread.
         assert blocks <= cache.misses <= readers * blocks
 
@@ -154,8 +165,11 @@ class TestRot:
         disk.rot_block(block_id)
         for _ in range(2):
             with table.read_snapshot() as snap:
-                with pytest.raises(CorruptionError, match=str(block_id)):
+                with pytest.raises(
+                    QuarantinedBlockError, match=str(block_id)
+                ):
                     snap.scan()
+        assert table.quarantined_blocks == [block_id]
         # Block 0 is every scan's first read: nothing was decoded.
         cache = table.ordinal_cache
         assert (len(cache), cache.misses, cache.hits) == (0, 0, 0)
@@ -171,7 +185,8 @@ class TestRot:
         disk.rot_block(block_id)
         hits = cache.hits
         with table.read_snapshot() as snap:
-            with pytest.raises(CorruptionError, match=str(block_id)):
+            with pytest.raises(QuarantinedBlockError, match=str(block_id)):
                 snap.scan()
+        assert table.quarantined_blocks == [block_id]
         # Only block 0, read before the rotted one, was a hit.
         assert cache.hits == hits + 1

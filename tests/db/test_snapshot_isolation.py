@@ -29,7 +29,7 @@ from hypothesis.stateful import (
 from repro.db.query import RangeQuery
 from repro.db.table import Table
 from repro.db.transactions import Transaction
-from repro.errors import CorruptionError, IntegrityError, QueryError
+from repro.errors import IntegrityError, QuarantinedBlockError, QueryError
 from repro.relational.algebra import RangePredicate
 from repro.relational.domain import IntegerRangeDomain
 from repro.relational.relation import Relation
@@ -129,8 +129,9 @@ class TestSnapshotBasics:
         table.enable_mvcc()
         disk.rot_block(table.storage.block_ids[0])
         with table.read_snapshot() as snap:
-            with pytest.raises(CorruptionError):
+            with pytest.raises(QuarantinedBlockError):
                 snap.scan()
+        assert table.quarantined_blocks == [table.storage.block_ids[0]]
         with pytest.raises(IntegrityError):
             table.delete(ROWS[0])
         # The write's copy-before-write read verified the bytes too, so

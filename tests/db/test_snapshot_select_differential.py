@@ -1,17 +1,19 @@
 """Snapshot select against live ``Table.select`` on the same rows.
 
-:meth:`TableSnapshot.select` filters a vector-codec table in ordinal
-space — one ``searchsorted`` slice for the leading attribute, vector
-masks for the rest, tuples built only for the matches — while the live
-:meth:`Table.select` stays tuple-at-a-time.  The live path (and a
-brute-force oracle under it) is therefore the specification: both must
-return identical rows in identical phi order and account for the same
-blocks read and tuples examined (up to the one planning difference
+:meth:`TableSnapshot.select` and the live :meth:`Table.select` share one
+block loop.  It filters a vector-codec table in ordinal space — one
+``searchsorted`` slice for the leading attribute, vector masks for the
+rest, tuples built only for the matches — and a scalar-codec table
+tuple-at-a-time.  The two still plan differently, so the live path and
+a brute-force oracle under it are the specification: both must return
+identical rows in identical phi order and account for the same blocks
+read and tuples examined (up to the one planning difference
 :func:`live_expectation` documents), on vector-eligible schemas and on
 the scalar fallback alike, before and after writes that split blocks,
 and through stashed versions a held snapshot reads.  Every snapshot
 select runs twice, so on a vector-codec table the second answer comes
-from the table's ordinal cache.
+from the table's ordinal cache.  Live selects on the vector and the
+scalar codec of the same rows must agree the same way.
 """
 
 from collections import Counter
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.codec import BlockCodec
 from repro.core.phi import OrdinalMapper
 from repro.core.vectorized import VectorizedBlockCodec
 from repro.db.query import RangeQuery
@@ -48,7 +51,7 @@ SETTINGS = settings(
 )
 
 
-def make_table(sizes, rows, block_size=BLOCK_SIZE):
+def make_table(sizes, rows, block_size=BLOCK_SIZE, *, codec=None, mvcc=True):
     schema = Schema(
         [
             Attribute(f"a{i}", IntegerRangeDomain(0, size - 1))
@@ -57,9 +60,10 @@ def make_table(sizes, rows, block_size=BLOCK_SIZE):
     )
     relation = Relation(schema, [tuple(r) for r in rows])
     table = Table.from_relation(
-        "t", relation, SimulatedDisk(block_size=block_size)
+        "t", relation, SimulatedDisk(block_size=block_size), codec=codec
     )
-    table.enable_mvcc()
+    if mvcc:
+        table.enable_mvcc()
     return table
 
 
@@ -181,6 +185,36 @@ class TestCodecChoice:
         sizes = SCHEMAS["scalar-2^64"]
         table = make_table(sizes, [(0,) * len(sizes)])
         assert table.storage.codec.vector_codec is None
+
+
+class TestLiveCodecs:
+    @SETTINGS
+    @given(cases())
+    def test_vector_and_scalar_codecs_answer_alike(self, case):
+        """Live selects filter ordinal arrays on a vector codec (through
+        the ordinal cache, or decoding each block without one) and
+        tuples on the scalar codec: same rows, order, blocks read and
+        tuples examined, and the rows are the oracle's."""
+        sizes, rows, queries = case
+        tables = [
+            make_table(sizes, rows),
+            make_table(sizes, rows, mvcc=False),
+            make_table(
+                sizes, rows, mvcc=False,
+                codec=BlockCodec(sizes, vectorized=False),
+            ),
+        ]
+        assert tables[2]._array_codec() is None
+        for query in queries * 2:  # the repeat hits the ordinal cache
+            want = oracle(tables[0], rows, query)
+            results = [table.select(query) for table in tables]
+            for result in results:
+                assert result.tuples == want
+            assert len({
+                (r.blocks_read, r.tuples_examined, r.access_path,
+                 tuple(r.candidate_blocks))
+                for r in results
+            }) == 1
 
 
 class TestStaticTables:

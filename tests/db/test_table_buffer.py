@@ -6,6 +6,7 @@ import pytest
 
 from repro.db.query import RangeQuery
 from repro.db.table import Table
+from repro.relational.algebra import RangePredicate
 from repro.relational.domain import IntegerRangeDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
@@ -115,47 +116,51 @@ class TestBufferedTable:
         assert compressed_rate > uncompressed_rate
 
 
+def cached_table(rel, disk, **kwargs):
+    """A pooled table whose decoded blocks live in its ordinal cache."""
+    table = Table.from_relation("t", rel, disk, buffer_capacity=1000, **kwargs)
+    table.enable_mvcc()
+    assert table.ordinal_cache is not None
+    return table
+
+
 class TestDecodedCacheTable:
+    """The table's decoded-block cache is its ordinal cache: every
+    select reads through it, and its payload check keeps it fresh."""
+
     def test_repeat_lookup_skips_decode(self, schema):
         rel = make_relation(schema, seed=4)
         disk = SimulatedDisk(block_size=512)
-        table = Table.from_relation(
-            "t", rel, disk, decoded_cache_capacity=100
-        )
+        table = cached_table(rel, disk)
         target = next(iter(rel))
-        assert table.contains(target)
-        stats = table.buffer_pool.stats
-        decodes_after_first = stats.decoded_misses
+        lookup = RangeQuery.equals("a0", target[0])
+        first = table.select(lookup)
+        assert target in first.tuples
+        assert first.profile.decoded_misses == first.blocks_read
         disk.stats.reset()
         for _ in range(5):
-            assert table.contains(target)
-        assert stats.decoded_misses == decodes_after_first  # no new decode
-        assert stats.decoded_hits >= 5
+            again = table.select(lookup)
+            assert again.tuples == first.tuples
+            assert again.profile.decoded_misses == 0  # no new decode
+            assert again.profile.decoded_hits == again.blocks_read
         assert disk.stats.blocks_read == 0
 
     def test_repeat_select_hits_decoded_cache(self, schema):
         rel = make_relation(schema, seed=5)
         disk = SimulatedDisk(block_size=512)
-        table = Table.from_relation(
-            "t", rel, disk,
-            secondary_on=["a2"],
-            decoded_cache_capacity=1000,
-        )
+        table = cached_table(rel, disk, secondary_on=["a2"])
         q = RangeQuery.equals("a2", 9)
         first = table.select(q)
-        stats = table.buffer_pool.stats
-        cold_decodes = stats.decoded_misses
+        assert first.access_path == "secondary:a2"
         second = table.select(q)
-        assert sorted(second.tuples) == sorted(first.tuples)
-        assert stats.decoded_misses == cold_decodes
-        assert stats.decoded_hits > 0
+        assert second.tuples == first.tuples
+        assert second.profile.decoded_misses == 0
+        assert second.profile.decoded_hits == second.blocks_read > 0
 
     def test_out_of_range_probe_reads_nothing(self, schema):
         rel = Relation(schema, [(30, 30, 30, 30), (31, 31, 31, 31)])
         disk = SimulatedDisk(block_size=512)
-        table = Table.from_relation(
-            "t", rel, disk, decoded_cache_capacity=10
-        )
+        table = cached_table(rel, disk)
         disk.stats.reset()
         assert not table.contains((0, 0, 0, 0))
         assert not table.contains((63, 63, 63, 63))
@@ -164,35 +169,33 @@ class TestDecodedCacheTable:
     def test_mutation_invalidates_decoded_block(self, schema):
         rel = make_relation(schema, seed=6)
         disk = SimulatedDisk(block_size=512)
-        table = Table.from_relation(
-            "t", rel, disk, decoded_cache_capacity=1000
-        )
+        table = cached_table(rel, disk)
         new = (2, 40, 5, 6)
-        assert not table.contains(new)  # warms the decoded cache
+        probe = RangeQuery(
+            [RangePredicate("a0", 2, 2), RangePredicate("a1", 40, 40)]
+        )
+        assert new not in table.select(probe).tuples  # warms the cache
         table.insert(new)
-        assert table.contains(new)  # stale decode would still miss it
+        assert new in table.select(probe).tuples  # stale decode would miss it
         assert table.delete(new)
-        assert not table.contains(new)  # and would still show it here
+        assert new not in table.select(probe).tuples  # and would show it
 
     def test_insert_until_split_stays_consistent(self, schema):
-        """ISSUE-2 satellite: after ``_split_block`` the directory, the
-        secondary index, and the decoded cache must all agree with the
-        two half-blocks.  A cache that survives the split would serve
-        the pre-split decode of the left block's disk id."""
+        """After ``_split_block`` the directory, the secondary index and
+        the ordinal cache must all agree with the two half-blocks.  An
+        entry that survived the split would serve the pre-split decode
+        of the left block's disk id."""
         rel = make_relation(schema, n=50, seed=7)
         disk = SimulatedDisk(block_size=128)  # tiny blocks: split early
-        table = Table.from_relation(
-            "t", rel, disk,
-            secondary_on=["a1"],
-            decoded_cache_capacity=1000,
-        )
+        table = cached_table(rel, disk, secondary_on=["a1"])
         storage = table.storage
         rng = random.Random(8)
         inserted = []
         blocks_before = storage.num_blocks
         while storage.num_blocks <= blocks_before + 3:
             t = tuple(rng.randrange(64) for _ in range(4))
-            table.contains(t)  # keep the target block's decode cached
+            # keep the target block's decode cached
+            table.select(RangeQuery.equals("a0", t[0]))
             table.insert(t)
             inserted.append(t)
         storage.verify_directory()
@@ -201,9 +204,9 @@ class TestDecodedCacheTable:
             list(rel) + inserted, key=schema.mapper.phi
         )
         assert list(storage.scan()) == expected
-        # every tuple findable through the (cached) point-probe path
+        # every tuple findable through the (cached) select path
         for t in inserted:
-            assert table.contains(t)
+            assert t in table.select(RangeQuery.equals("a0", t[0])).tuples
         # and the secondary index still maps values to the right blocks
         for value in range(64):
             result = table.select(RangeQuery.equals("a1", value))
@@ -214,21 +217,11 @@ class TestDecodedCacheTable:
     def test_compact_drops_decoded_cache(self, schema):
         rel = make_relation(schema, seed=9)
         disk = SimulatedDisk(block_size=512)
-        table = Table.from_relation(
-            "t", rel, disk, decoded_cache_capacity=1000
-        )
+        table = cached_table(rel, disk)
         victim = next(iter(rel))
-        table.contains(victim)
+        table.select(RangeQuery([]))
+        assert len(table.ordinal_cache) == table.num_blocks
         table.delete(victim)
         table.compact()
-        assert table.decoded_cache.resident == 0
+        assert len(table.ordinal_cache) == 0
         assert not table.contains(victim)
-
-    def test_decoded_cache_gets_default_pool(self, schema):
-        rel = make_relation(schema, seed=10)
-        table = Table.from_relation(
-            "t", rel, SimulatedDisk(512), decoded_cache_capacity=7
-        )
-        assert table.buffer_pool is not None
-        assert table.buffer_pool.capacity == 7
-        assert table.decoded_cache.capacity == 7

@@ -2,14 +2,16 @@
 
 Hypothesis drives random transactions — batches of inserts, deletes,
 and updates that end in either commit or rollback — against a durable,
-indexed, decoded-cache-backed :class:`~repro.db.table.Table`, and
+indexed, MVCC-enabled :class:`~repro.db.table.Table` whose selects read
+through its ordinal cache, and
 cross-checks *every* observable surface after each step:
 
 * the storage scan against a plain :class:`collections.Counter` oracle;
 * the secondary index, by comparing range selects with a filter over
   the oracle;
-* the decoded block cache, by proving reads through it see the same
-  tuples as the raw storage (mutation invalidation must not go stale).
+* the ordinal cache, by proving every entry holds the decode of its
+  block's committed payload and reads through it see the same tuples
+  as the raw storage (a rewritten block must never be served stale).
 
 This is the transactional sibling of ``test_table_stateful.py``: that
 file exercises raw mutations, this one the undo/commit discipline on
@@ -63,17 +65,18 @@ class TransactionModel(RuleBasedStateMachine):
         from repro.storage.disk import SimulatedDisk
 
         self.tmpdir = tempfile.mkdtemp(prefix="txnstateful-")
-        # Tiny blocks force splits; the decoded cache sits in front of
-        # every read, so stale invalidation would surface immediately.
+        # Tiny blocks force splits; the ordinal cache sits in front of
+        # every select, so a stale entry would surface immediately.
         disk = SimulatedDisk(block_size=32)
         self.table = Table.from_relation(
             "t",
             Relation(schema),
             disk,
             secondary_on=["b"],
-            decoded_cache_capacity=8,
+            buffer_capacity=8,
             durable_path=os.path.join(self.tmpdir, "t.wal"),
         )
+        self.table.enable_mvcc()
         self.model = Counter()
 
     def teardown(self):
@@ -156,16 +159,30 @@ class TransactionModel(RuleBasedStateMachine):
         )
 
     @invariant()
-    def decoded_cache_is_not_stale(self):
+    def ordinal_cache_is_not_stale(self):
         if not hasattr(self, "table"):
             return
-        cache = self.table.decoded_cache
+        table = self.table
+        cache = table.ordinal_cache
         assert cache is not None
-        storage = self.table.storage
+        storage = table.storage
+        committed = {
+            block_id: table._current_payload(block_id)
+            for block_id in storage.block_ids
+        }
+        # Every entry equals the decode of its block's committed payload;
+        # an older payload may linger only until its next read misses.
+        for block_id, (payload, ordinals) in cache._entries.items():
+            assert block_id in committed  # the publish pruned the rest
+            if payload == committed[block_id]:
+                assert ordinals.tolist() == storage.codec.decode_ordinals(
+                    payload
+                )
         via_cache = Counter()
-        for pos in range(storage.num_blocks):
-            block_id = storage.block_id_at(pos)
-            via_cache.update(tuple(t) for t in cache.get(block_id))
+        phi_inverse = table.schema.mapper.phi_inverse
+        for block_id, payload in committed.items():
+            ordinals = cache.ordinals(block_id, payload)
+            via_cache.update(phi_inverse(o) for o in ordinals.tolist())
         assert via_cache == Counter(
             {t: n for t, n in self.model.items() if n}
         )

@@ -19,9 +19,7 @@ from repro.storage.wal import WALStats
 #: Every snapshot implementation and its promised key set.
 EXPECTED_KEYS = {
     BufferStats: {
-        "hits", "misses", "evictions",
-        "decoded_hits", "decoded_misses", "decoded_evictions",
-        "hit_rate", "decoded_hit_rate",
+        "hits", "misses", "evictions", "hit_rate",
     },
     DiskStats: {
         "blocks_read", "blocks_written", "elapsed_ms",
@@ -91,7 +89,7 @@ class TestResets:
         }
         # BufferStats deliberately keeps lifetime eviction tallies.
         if cls is BufferStats:
-            assert survivors == {"evictions", "decoded_evictions"}
+            assert survivors == {"evictions"}
         else:
             assert survivors == set()
 
@@ -106,10 +104,7 @@ class TestHitRateZeroDivision:
     def test_fresh_buffer_rates_are_zero(self):
         stats = BufferStats()
         assert stats.hit_rate == 0.0
-        assert stats.decoded_hit_rate == 0.0
-        snap = stats.as_dict()
-        assert snap["hit_rate"] == 0.0
-        assert snap["decoded_hit_rate"] == 0.0
+        assert stats.as_dict()["hit_rate"] == 0.0
 
     def test_empty_pack_rates_are_zero(self):
         stats = PackStats(

@@ -14,7 +14,10 @@ import threading
 import pytest
 
 from repro.db.database import Database
+from repro.db.query import RangeQuery
+from repro.errors import QuarantinedBlockError
 from repro.obs import runtime
+from repro.relational.algebra import RangePredicate
 from repro.server.client import AsyncReproClient, ReproClient
 from repro.server.loadgen import run_loadgen
 from repro.server.server import ReproServer, ServerConfig
@@ -223,43 +226,124 @@ class TestLatencyMetrics:
         run(scenario())
 
 
+def rotted_database(policy="raise"):
+    """A served-shape table whose first block rotted at rest."""
+    rows = [[i, (i * 7) % 50, (i * 3) % 20] for i in range(40)]
+    disk = FaultyDisk(block_size=128, injector=FaultInjector(seed=0))
+    database = Database(disk=disk)
+    table = database.create_table(
+        "t", rows, columns=["a", "b", "c"],
+        degraded_reads=policy, tuple_index=True,
+    )
+    assert table.num_blocks > 1
+    block_id = table.storage.block_ids[0]
+    pristine = table.storage.read_block(0)
+    disk.rot_block(block_id)
+    # The seeded flip is the dangerous kind: without the checksum the
+    # damaged payload decodes cleanly, to the wrong tuples.
+    assert table.storage.decode_payload(disk.read_block(block_id)) != pristine
+    return database, table, disk, block_id
+
+
+async def served_selects(database, requests):
+    """Each select request's response, through one real connection."""
+    async with serving(database) as (server, host, port):
+        async with await AsyncReproClient.connect(
+            host, port, raise_errors=False
+        ) as c:
+            responses = []
+            for predicates in requests:
+                responses.append(await c.request({
+                    "op": "select", "table": "t", "predicates": predicates,
+                }))
+            assert (await c.request({"op": "ping"}))["pong"] is True
+            return responses
+
+
 class TestServedIntegrity:
     def test_rotted_block_answers_typed_corruption_not_rows(self):
         """Served selects verify the checksum of every block they read
-        from disk: bit rot comes back as a typed error, never as rows."""
-        rows = [[i, (i * 7) % 50, (i * 3) % 20] for i in range(40)]
-        disk = FaultyDisk(block_size=256, injector=FaultInjector(seed=0))
-        database = Database(disk=disk)
-        table = database.create_table("t", rows, columns=["a", "b", "c"])
-        block_id = table.storage.block_ids[0]
-        disk.rot_block(block_id)
-        # The seeded flip is the dangerous kind: without the checksum the
-        # damaged payload decodes cleanly, to the wrong tuples.
-        decoded = table.storage.decode_payload(disk.read_block(block_id))
-        assert sorted(decoded) != sorted(map(tuple, rows))
+        from disk: bit rot comes back as a typed error, never as rows,
+        and the block is quarantined exactly as a local read would."""
+        database, table, disk, block_id = rotted_database()
+        responses = run(served_selects(database, [
+            [],
+            [{"attribute": "a", "lo": 1, "hi": 2}],
+            [{"attribute": "c", "lo": 0, "hi": 4}],
+        ]))
+        for response in responses:
+            assert response["status"] == "error"
+            assert response["code"] == "QuarantinedBlockError"
+            assert str(block_id) in response["message"]
+            assert "rows" not in response
+        assert table.quarantined_blocks == [block_id]
 
-        async def scenario():
-            async with serving(database) as (server, host, port):
-                async with await AsyncReproClient.connect(
-                    host, port, raise_errors=False
-                ) as c:
-                    for predicates in (
-                        [],
-                        [{"attribute": "a", "lo": 1, "hi": 2}],
-                        [{"attribute": "c", "lo": 0, "hi": 4}],
-                    ):
-                        response = await c.request({
-                            "op": "select",
-                            "table": "t",
-                            "predicates": predicates,
-                        })
-                        assert response["status"] == "error"
-                        assert response["code"] == "CorruptionError"
-                        assert str(block_id) in response["message"]
-                        assert "rows" not in response
-                    assert (await c.request({"op": "ping"}))["pong"] is True
+    @pytest.mark.parametrize("path", ["local", "snapshot", "served"])
+    def test_every_read_path_quarantines_alike(self, path):
+        """A local select, a snapshot select and a served select of a
+        rotted block: the same error class naming the block, the block
+        quarantined, and a second select refused before any disk read."""
+        database, table, disk, block_id = rotted_database()
 
-        run(scenario())
+        def select_all():
+            if path == "local":
+                table.select(RangeQuery([]))
+            elif path == "snapshot":
+                with table.read_snapshot() as snap:
+                    snap.select(RangeQuery([]))
+            else:
+                (response,) = run(served_selects(database, [[]]))
+                assert response["code"] == "QuarantinedBlockError"
+                raise QuarantinedBlockError(response["message"])
+
+        if path == "snapshot":
+            table.enable_mvcc()
+        for _ in range(2):
+            reads = disk.stats.blocks_read
+            with pytest.raises(QuarantinedBlockError, match=str(block_id)):
+                select_all()
+            assert table.quarantined_blocks == [block_id]
+        # The refusal comes from the quarantine: block 0 is read first.
+        assert disk.stats.blocks_read == reads
+
+    def test_skip_policy_answers_alike_and_names_skipped_blocks(self):
+        database, table, disk, block_id = rotted_database("skip")
+        table.enable_mvcc()
+        query = RangeQuery([RangePredicate("c", 0, 9)])
+        with table.read_snapshot() as snap:
+            snapshot = snap.select(query)
+        live = table.select(query)
+        assert live.skipped_blocks == snapshot.skipped_blocks == [block_id]
+        assert live.tuples == snapshot.tuples and live.tuples
+        assert live.blocks_read == snapshot.blocks_read == table.num_blocks - 1
+        (response,) = run(served_selects(
+            database, [[{"attribute": "c", "lo": 0, "hi": 9}]]
+        ))
+        assert response["status"] == "ok"
+        assert response["skipped_blocks"] == [block_id]
+        schema = table.schema
+        assert response["rows"] == [
+            list(schema.decode_tuple(t)) for t in live.tuples
+        ]
+        (clean,) = run(served_selects(rotted_database("skip")[0], [
+            [{"attribute": "a", "lo": 39, "hi": 39}],
+        ]))
+        assert clean["count"] == 1 and "skipped_blocks" not in clean
+
+    def test_snapshot_never_repairs(self):
+        """Under "repair" a reader quarantines and raises without
+        writing; the writer's own select then repairs the block."""
+        database, table, disk, block_id = rotted_database("repair")
+        table.enable_mvcc()
+        writes = disk.stats.blocks_written
+        with table.read_snapshot() as snap:
+            with pytest.raises(QuarantinedBlockError, match=str(block_id)):
+                snap.scan()
+        assert disk.stats.blocks_written == writes
+        assert table.quarantined_blocks == [block_id]
+        assert len(table.select(RangeQuery([])).tuples) == 40
+        assert table.quarantined_blocks == []
+        assert disk.stats.blocks_written > writes
 
 
 class TestBlockingClient:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.buffer import BufferPool
+from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.disk import SimulatedDisk
 
 
@@ -71,3 +71,29 @@ class TestBufferPool:
     def test_zero_capacity_rejected(self, disk):
         with pytest.raises(StorageError):
             BufferPool(disk, capacity=0)
+
+
+class TestBufferStatsAudit:
+    def test_hit_rates_zero_on_fresh_stats(self):
+        assert BufferStats().hit_rate == 0.0
+
+    def test_hit_rate_zero_on_fresh_pool(self, disk):
+        assert BufferPool(disk, capacity=4).stats.hit_rate == 0.0
+
+    def test_reset_zeroes_window_but_keeps_evictions(self):
+        stats = BufferStats(hits=5, misses=3, evictions=2)
+        stats.reset()
+        assert stats.hits == 0
+        assert stats.misses == 0
+        # the lifetime churn counter survives the measurement-window reset
+        assert stats.evictions == 2
+
+    def test_pool_eviction_count_survives_reset(self, disk):
+        pool = BufferPool(disk, capacity=2)
+        for block_id in range(6):
+            pool.get(block_id)
+        evicted = pool.stats.evictions
+        assert evicted == 4
+        pool.stats.reset()
+        assert pool.stats.evictions == evicted
+        assert pool.stats.accesses == 0

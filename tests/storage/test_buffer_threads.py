@@ -1,5 +1,5 @@
-"""Multi-threaded hammer tests for the latched buffer pool and
-decoded-block cache.
+"""Multi-threaded hammer tests for the latched buffer pool, alone and
+under the ordinal cache of concurrent snapshot selects.
 
 Before the latch, concurrent `get` calls corrupted the OrderedDict's
 LRU reordering and double-counted stats; this suite drives many threads
@@ -13,9 +13,14 @@ invariants that only hold if every access was serialized:
 """
 
 import threading
-from collections import Counter
 
-from repro.storage.buffer import BufferPool, DecodedBlockCache
+from repro.db.query import RangeQuery
+from repro.db.table import Table
+from repro.relational.algebra import RangePredicate
+from repro.relational.domain import IntegerRangeDomain
+from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, Schema
+from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 
 NUM_BLOCKS = 24
@@ -95,53 +100,42 @@ class TestBufferPoolHammer:
         assert pool.stats.accesses == (THREADS - 1) * ROUNDS
 
 
-class TestDecodedCacheHammer:
-    def test_pool_and_decoded_cache_share_one_latch(self):
-        disk = make_disk()
-        pool = BufferPool(disk, capacity=8)
-        decode_counts = Counter()
-        count_lock = threading.Lock()
+class TestOrdinalCacheHammer:
+    def test_reader_threads_share_pool_and_ordinal_cache(self):
+        """Snapshot selects on many threads read through one pool and
+        one ordinal cache while another thread invalidates frames:
+        every answer is right and both keep exact accounting."""
+        schema = Schema(
+            [Attribute(f"a{i}", IntegerRangeDomain(0, 15)) for i in range(3)]
+        )
+        rows = [(i % 16, (i * 5) % 16, (i * 3) % 16) for i in range(300)]
+        table = Table.from_relation(
+            "t",
+            Relation(schema, rows),
+            SimulatedDisk(block_size=64),
+            buffer_capacity=3,
+        )
+        table.enable_mvcc()
+        pool, cache = table.buffer_pool, table.ordinal_cache
+        assert cache is not None
+        blocks = table.num_blocks
+        assert blocks > pool.capacity
+        query = RangeQuery([RangePredicate("a1", 2, 9)])
+        want = sorted(t for t in rows if 2 <= t[1] <= 9)
+        readers, rounds = THREADS - 1, 30
 
-        def decoder(payload):
-            with count_lock:
-                decode_counts[payload[0]] += 1
-            return [(payload[0], len(payload))]
-
-        cache = DecodedBlockCache(pool, capacity=6, decoder=decoder)
-        assert cache.pool is pool
-
-        def tuple_reader(seed):
-            def run():
-                for i in range(ROUNDS):
-                    block_id = (seed * 3 + i) % NUM_BLOCKS
-                    tuples = cache.get(block_id)
-                    assert tuples == [(block_id, 16)]
-            return run
-
-        def raw_reader():
-            for i in range(ROUNDS):
-                block_id = i % NUM_BLOCKS
-                assert pool.get(block_id) == bytes([block_id]) * 16
+        def reader():
+            for _ in range(rounds):
+                with table.read_snapshot() as snap:
+                    assert sorted(snap.select(query).tuples) == want
 
         def invalidator():
-            # The cascade path: pool.invalidate takes pool-then-cache
-            # while cache.get takes cache-then-pool — with separate
-            # locks this interleaving deadlocks; the shared latch is
-            # the regression under test.
             for i in range(ROUNDS):
-                pool.invalidate((i * 13) % NUM_BLOCKS)
+                pool.invalidate(table.storage.block_ids[i % blocks])
 
-        hammer(
-            [tuple_reader(s) for s in range(THREADS - 2)]
-            + [raw_reader, invalidator]
-        )
-        stats = pool.stats
-        assert stats.decoded_accesses == (THREADS - 2) * ROUNDS
-        assert (
-            stats.decoded_hits + stats.decoded_misses
-            == stats.decoded_accesses
-        )
-        assert cache.resident <= cache.capacity
+        hammer([reader] * readers + [invalidator])
+        reads = readers * rounds * blocks
+        assert pool.stats.accesses == reads
         assert pool.resident <= pool.capacity
-        # Every decode was triggered by exactly one counted miss.
-        assert sum(decode_counts.values()) == stats.decoded_misses
+        assert cache.hits + cache.misses == reads
+        assert blocks <= cache.misses <= readers * blocks

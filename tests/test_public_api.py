@@ -34,7 +34,7 @@ EXPECTED_EXPORTS = {
     ],
     "repro.storage": [
         "DEFAULT_BLOCK_SIZE", "Block", "DiskModel", "DiskStats",
-        "SimulatedDisk", "BufferPool", "BufferStats", "DecodedBlockCache",
+        "SimulatedDisk", "BufferPool", "BufferStats",
         "PackStats", "PackedPartition", "pack_ordinals", "pack_relation",
         "pack_runs", "HeapFile", "AVQFile",
         "external_sort_ordinals", "bulk_load",
