@@ -6,8 +6,8 @@ shows the parts of the library built for that:
 
 1. bulk-load a census-style relation with bounded memory (external sort
    spilling to a scratch disk);
-2. collect table statistics and EXPLAIN a few queries — the cost-based
-   planner predicting N before touching data;
+2. EXPLAIN a few queries — every access path the planner could take,
+   with its exact N and its Equation 5.7 cost, the chosen one marked;
 3. run COUNT / AVG / MIN / MAX range aggregates, showing how many blocks
    were answered straight from the block directory without decoding.
 
@@ -17,7 +17,6 @@ Run:  python examples/statistical_queries.py
 import random
 
 from repro.db.aggregates import aggregate
-from repro.db.planner import QueryPlanner
 from repro.db.query import RangeQuery
 from repro.db.table import Table
 from repro.relational.domain import CategoricalDomain, IntegerRangeDomain
@@ -78,12 +77,9 @@ def main() -> None:
     table.create_hash_index("income_bracket")
 
     # -- 2. EXPLAIN --------------------------------------------------------
-    planner = QueryPlanner(table)
-    print("\n" + planner.explain(RangeQuery.between("age", 30, 40)))
-    print("\n" + planner.explain(RangeQuery.equals("income_bracket", 7)))
-    print("\n" + planner.explain(
-        RangeQuery.between("region", 0, 0)  # clustering attribute
-    ))
+    print(f"\n{table.explain(RangeQuery.between('age', 30, 40))}")
+    print(f"\n{table.explain(RangeQuery.equals('income_bracket', 7))}")
+    print(f"\n{table.explain(RangeQuery.between('region', 0, 0))}")
 
     # -- 3. aggregates ------------------------------------------------------
     print("\nstatistical queries:")

@@ -12,9 +12,9 @@ from repro.db.join import (
     index_nested_loop_join,
 )
 from repro.db.database import Database
-from repro.db.planner import AccessPlan, QueryPlanner
+from repro.db.planner import AccessPlan
 from repro.db.query import QueryResult, RangeQuery
-from repro.db.stats import AttributeHistogram, TableStatistics
+from repro.db.stats import AttributeHistogram
 from repro.db.table import Table
 from repro.db.transactions import Transaction
 
@@ -25,9 +25,7 @@ __all__ = [
     "RangeQuery",
     "QueryResult",
     "AccessPlan",
-    "QueryPlanner",
     "AttributeHistogram",
-    "TableStatistics",
     "aggregate",
     "AggregateResult",
     "JoinResult",

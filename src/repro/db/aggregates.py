@@ -6,9 +6,10 @@ where the common query is an *aggregate* over a range, not a tuple
 fetch.  This module runs COUNT / SUM / MIN / MAX / AVG over an
 AVQ-compressed table and exploits the compressed layout twice:
 
-* the candidate block set comes from the same access-path machinery as
-  tuple selection (secondary-index buckets or the clustered primary
-  range), so untouched blocks are never read — let alone decoded;
+* the candidate block set comes from the table's one planner, as for
+  tuple selection (value-index buckets or the clustered directory
+  cut), so untouched blocks are never read — let alone decoded — and
+  the blocks that are read go through the table's one block loop;
 * when the aggregate target *is* the clustering prefix and the
   predicate covers whole blocks, MIN/MAX/COUNT can be answered from the
   block directory (first/last ordinal, tuple count) without decoding
@@ -22,12 +23,14 @@ so the pruning is observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional
 
+from repro.db.planner import plan
 from repro.db.query import RangeQuery
 from repro.db.table import Table
 from repro.errors import QueryError
-from repro.storage.avqfile import AVQFile
+from repro.relational.domain import IntegerRangeDomain
+from repro.storage.mvcc import DirectoryEntry
 
 __all__ = ["AggregateResult", "aggregate"]
 
@@ -74,57 +77,48 @@ def aggregate(
     schema = table.schema
     position = schema.position(attribute) if attribute is not None else None
     bound = [p.bind(schema) for p in query.predicates]
+    directory = table._directory()
+    chosen = plan(bound, schema.mapper, directory, table._value_indices())
 
-    candidates, access_path = _candidate_blocks(table, query, bound)
-
-    directory_hits = 0
-    blocks_read = 0
+    # A block answers from the directory when every predicate is on the
+    # leading attribute and covers the block's whole leading range, and
+    # the target is COUNT or the leading attribute itself: its min/max
+    # over a block are the leading digits of the first/last ordinals.
+    entries: Dict[int, DirectoryEntry] = {}
+    if all(b[0] == 0 for b in bound) and (
+        function == "count" or (function in ("min", "max") and position == 0)
+    ):
+        entries = {entry[0]: entry for entry in directory.entries}
+    w0 = schema.mapper.weights[0]
     count = 0
-    total = 0
-    minimum: Optional[int] = None
-    maximum: Optional[int] = None
-
-    storage = table.storage
-    full_block_prunable = (
-        isinstance(storage, AVQFile)
-        and function in ("count", "min", "max")
-        and _whole_block_coverage_possible(table, bound, position, function)
-    )
-    id_to_position = (
-        {bid: pos for pos, bid in enumerate(storage.block_ids)}
-        if full_block_prunable
-        else {}
-    )
-
-    for block_id in candidates:
-        if full_block_prunable:
-            answered = _try_directory_answer(
-                table, id_to_position.get(block_id), bound, function
-            )
-            if answered is not None:
-                block_count, block_min, block_max = answered
-                count += block_count
-                if block_min is not None:
-                    minimum = block_min if minimum is None else min(minimum, block_min)
-                if block_max is not None:
-                    maximum = block_max if maximum is None else max(maximum, block_max)
-                directory_hits += 1
+    values: List[int] = []
+    to_read = []
+    for block_id in chosen.block_ids:
+        entry = entries.get(block_id)
+        if entry is not None:
+            first, last = entry[1] // w0, entry[2] // w0
+            if all(lo <= first and last <= hi for _, lo, hi in bound):
+                count += entry[3]
+                values += (first, last)
                 continue
-        tuples = table._read_block_id(block_id)
-        blocks_read += 1
-        for t in tuples:
-            if all(lo <= t[pos] <= hi for pos, lo, hi in bound):
-                count += 1
-                if position is not None:
-                    v = t[position]
-                    total += v
-                    minimum = v if minimum is None else min(minimum, v)
-                    maximum = v if maximum is None else max(maximum, v)
+        to_read.append(block_id)
+
+    # The other blocks go through the table's block loop.  A
+    # quarantined block raises under every policy: an aggregate cannot
+    # name the blocks it left out.
+    rows = table._read_blocks(
+        to_read, table._current_payload, bound, chosen.leading,
+        allow_skip=False,
+    ).rows
+    count += len(rows)
+    total = 0
+    if position is not None:
+        matched = [t[position] for t in rows]
+        total = sum(matched)
+        values += matched
 
     shift = 0
     if position is not None:
-        from repro.relational.domain import IntegerRangeDomain
-
         domain = schema.attribute(attribute).domain
         if isinstance(domain, IntegerRangeDomain):
             shift = domain.lo
@@ -137,9 +131,9 @@ def aggregate(
     elif function == "sum":
         value = float(total + count * shift)
     elif function == "min":
-        value = None if minimum is None else float(minimum + shift)
+        value = float(min(values) + shift)
     elif function == "max":
-        value = None if maximum is None else float(maximum + shift)
+        value = float(max(values) + shift)
     else:  # avg
         value = total / count + shift
 
@@ -148,75 +142,7 @@ def aggregate(
         attribute=attribute,
         value=value,
         tuples_matched=count,
-        blocks_read=blocks_read,
-        blocks_answered_from_directory=directory_hits,
-        access_path=access_path,
+        blocks_read=len(to_read),
+        blocks_answered_from_directory=len(chosen.block_ids) - len(to_read),
+        access_path=chosen.path,
     )
-
-
-def _candidate_blocks(table: Table, query: RangeQuery, bound):
-    """Reuse the Table's access-path choice to get candidate block ids."""
-    result = None
-    if not query.predicates:
-        return [bid for bid, _ in _block_ids(table)], "scan"
-    leading = next((b for b in bound if b[0] == 0), None)
-    if leading is not None:
-        _, lo, hi = leading
-        weights = table.schema.mapper.weights
-        block_ids = table.primary_index.range_blocks(
-            lo * weights[0], (hi + 1) * weights[0] - 1
-        )
-        return block_ids, "primary"
-    best = None
-    for pred, (pos, lo, hi) in zip(query.predicates, bound):
-        idx = table.secondary_indices.get(pred.attribute)
-        if idx is not None:
-            cand = idx.range_lookup(lo, hi)
-            if best is None or len(cand) < len(best[0]):
-                best = (cand, f"secondary:{pred.attribute}")
-        if lo == hi:
-            hidx = table.hash_indices.get(pred.attribute)
-            if hidx is not None:
-                cand = hidx.lookup(lo)
-                if best is None or len(cand) < len(best[0]):
-                    best = (cand, f"hash:{pred.attribute}")
-    if best is not None:
-        return best
-    return [bid for bid, _ in _block_ids(table)], "scan"
-
-
-def _block_ids(table: Table):
-    storage = table.storage
-    for position in range(storage.num_blocks):
-        yield storage.block_ids[position], position
-
-
-def _whole_block_coverage_possible(table, bound, position, function) -> bool:
-    """Directory answers need: predicate on the leading attribute only,
-    and the aggregate target to be the leading attribute (its min/max
-    over a block follow from the block's first/last ordinals) or COUNT."""
-    if any(pos != 0 for pos, _, _ in bound):
-        return False
-    if function == "count":
-        return True
-    return position == 0
-
-
-def _try_directory_answer(table, pos_index, bound, function):
-    """Answer one block from the directory if its whole ordinal range
-    satisfies the (leading-attribute) predicate; else ``None``."""
-    if pos_index is None:
-        return None
-    storage: AVQFile = table.storage
-    first, last = storage.block_range(pos_index)
-    w0 = table.schema.mapper.weights[0]
-    lead_first = first // w0
-    lead_last = last // w0
-    for _, lo, hi in bound:  # all bound entries are on attribute 0 here
-        if not (lo <= lead_first and lead_last <= hi):
-            return None
-    count = storage.block_tuple_count(pos_index)
-    if function == "count":
-        return count, None, None
-    # min/max of the leading attribute over the block
-    return count, lead_first, lead_last

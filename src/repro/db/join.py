@@ -6,22 +6,30 @@ AVQ-coded storage — blocks decode on demand, never the whole relation
 at once:
 
 * :func:`index_nested_loop_join` — scan the outer table block by block;
-  for each outer tuple, probe the inner table's secondary (or hash)
-  index on the join attribute and read only matching blocks.  The right
-  choice when the inner table is indexed and the outer side is small or
-  filtered.
+  for each distinct outer join value, plan the inner read with the
+  inner table's planner (its secondary or hash index on the join
+  attribute, or the clustered cut when that attribute leads) and read
+  only matching blocks.  The right choice when the inner table is
+  indexed and the outer side is small or filtered.
 * :func:`block_nested_loop_join` — for each outer block, scan the inner
   table once, joining in memory.  No index needed; ``O(B_outer *
   B_inner)`` block reads, which the result's counters make visible.
 
-Results are ordinal tuples ``outer + inner`` over a combined schema.
+Every block is read through its table's block loop
+(``Table._read_blocks``): checksum, quarantine and the degraded-read
+policy apply as for a select, except that a quarantined block raises
+under every policy, because a join result cannot name what it left
+out.  Results are ordinal tuples ``outer + inner`` over a combined
+schema.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.db.planner import plan
+from repro.db.query import BoundPredicate
 from repro.db.table import Table
 from repro.errors import QueryError
 from repro.relational.schema import Attribute, Schema
@@ -71,6 +79,29 @@ def _check_join_compatible(
     return opos, ipos
 
 
+def _read(
+    table: Table,
+    block_ids: Sequence[int],
+    bound: Sequence[BoundPredicate] = (),
+    leading: Optional[BoundPredicate] = None,
+) -> List[Tuple[int, ...]]:
+    """The matching rows of ``block_ids``, through the block loop."""
+    return table._read_blocks(
+        block_ids, table._current_payload, bound, leading, allow_skip=False
+    ).rows
+
+
+def _outer_blocks(
+    outer: Table, opos: int
+) -> Iterator[Dict[int, List[Tuple[int, ...]]]]:
+    """Each outer block's tuples, grouped by join value."""
+    for block_id in outer.storage.block_ids:
+        by_value: Dict[int, List[Tuple[int, ...]]] = {}
+        for t in _read(outer, [block_id]):
+            by_value.setdefault(t[opos], []).append(t)
+        yield by_value
+
+
 def index_nested_loop_join(
     outer: Table,
     outer_attr: str,
@@ -80,23 +111,18 @@ def index_nested_loop_join(
     """Equi-join probing the inner table's index per outer tuple.
 
     The inner table must have a secondary or hash index on
-    ``inner_attr``.  Probed inner blocks are cached per distinct join
-    value within the processing of one outer block, so repeated values
-    do not re-read blocks.
+    ``inner_attr``.  Each outer block probes once per distinct join
+    value: the inner planner's blocks for ``inner_attr == value``.
     """
     opos, ipos = _check_join_compatible(outer, outer_attr, inner, inner_attr)
-    hash_idx = inner.hash_indices.get(inner_attr)
-    sec_idx = inner.secondary_indices.get(inner_attr)
-    if hash_idx is None and sec_idx is None:
+    if (
+        inner_attr not in inner.hash_indices
+        and inner_attr not in inner.secondary_indices
+    ):
         raise QueryError(
             f"index_nested_loop_join needs an index on "
             f"{inner.name}.{inner_attr}"
         )
-
-    def probe(value: int) -> List[int]:
-        if hash_idx is not None:
-            return hash_idx.lookup(value)
-        return sec_idx.range_lookup(value, value)
 
     schema = _combined_schema(outer, inner)
     out: List[Tuple[int, ...]] = []
@@ -104,23 +130,20 @@ def index_nested_loop_join(
     inner_blocks = 0
     probes = 0
 
-    for _, outer_tuples in outer.storage.iter_blocks():
+    directory = inner._directory()
+    indexes = inner._value_indices()
+    for by_value in _outer_blocks(outer, opos):
         outer_blocks += 1
-        # group the block's tuples by join value: one probe per value
-        by_value = {}
-        for t in outer_tuples:
-            by_value.setdefault(t[opos], []).append(t)
         for value, group in by_value.items():
             probes += 1
-            block_cache = {}
-            for block_id in probe(value):
-                if block_id not in block_cache:
-                    block_cache[block_id] = inner._read_block_id(block_id)
-                    inner_blocks += 1
-                for inner_tuple in block_cache[block_id]:
-                    if inner_tuple[ipos] == value:
-                        for outer_tuple in group:
-                            out.append(tuple(outer_tuple) + tuple(inner_tuple))
+            bound = [(ipos, value, value)]
+            chosen = plan(bound, inner.schema.mapper, directory, indexes)
+            inner_blocks += len(chosen.block_ids)
+            for inner_tuple in _read(
+                inner, chosen.block_ids, bound, chosen.leading
+            ):
+                for outer_tuple in group:
+                    out.append(outer_tuple + inner_tuple)
     return JoinResult(
         schema=schema,
         tuples=out,
@@ -144,18 +167,15 @@ def block_nested_loop_join(
     outer_blocks = 0
     inner_blocks = 0
 
-    for _, outer_tuples in outer.storage.iter_blocks():
+    for by_value in _outer_blocks(outer, opos):
         outer_blocks += 1
-        by_value = {}
-        for t in outer_tuples:
-            by_value.setdefault(t[opos], []).append(t)
-        for _, inner_tuples in inner.storage.iter_blocks():
+        for block_id in inner.storage.block_ids:
             inner_blocks += 1
-            for inner_tuple in inner_tuples:
+            for inner_tuple in _read(inner, [block_id]):
                 group = by_value.get(inner_tuple[ipos])
                 if group:
                     for outer_tuple in group:
-                        out.append(tuple(outer_tuple) + tuple(inner_tuple))
+                        out.append(outer_tuple + inner_tuple)
     return JoinResult(
         schema=schema,
         tuples=out,

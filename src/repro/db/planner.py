@@ -1,187 +1,234 @@
-"""Cost-based access-path planning with EXPLAIN output.
+"""The one access-path planner: bound predicates to the blocks a select reads.
 
-:class:`Table.select` chooses its path with exact candidate sets from
-the indices themselves (it *asks* the secondary index how many blocks a
-range touches).  A real optimiser cannot afford that — it predicts from
-statistics.  :class:`QueryPlanner` does the classic thing:
+Every read that picks blocks — :meth:`Table.select`,
+:meth:`TableSnapshot.select`, :func:`~repro.db.aggregates.aggregate`,
+the index join's probe, point probes and :meth:`Table.explain` — asks
+:func:`plan` (or :func:`covering_entry` for one ordinal).  The rules,
+in order:
 
-1. enumerate candidate paths — clustered primary range, one per
-   secondary index, one per hash index (equality only), full scan;
-2. estimate each path's ``N`` from :class:`~repro.db.stats.TableStatistics`
-   (clustered fraction, Yao's formula, or the whole file);
-3. cost each as the paper's Equation 5.7 — ``I + N (t1 + t_cpu)`` —
-   using the disk model's ``t1`` and a per-block CPU constant;
-4. pick the cheapest; :meth:`QueryPlanner.explain` renders the whole
-   candidate table for inspection.
+1. a predicate on the *leading* attribute takes the clustered cut of
+   the block directory ("primary"): the relation is phi-clustered, so
+   its matches are one contiguous run of blocks;
+2. otherwise the value index with the smallest exact candidate set
+   wins — a hash index (equality only) or a secondary index, tried in
+   predicate order, the hash index first on a tie ("hash:X",
+   "secondary:X");
+3. otherwise every block ("scan").
+
+The directory is whatever the caller reads: the live file's, a
+snapshot's frozen one, or a heap table's.  Its entries are
+``(block_id, first, last, count)`` in phi order, and ``last[i] <=
+first[i + 1]`` — equal when a run of one tuple straddles the boundary.
+The cut reads every block whose ``[first, last]`` overlaps the range,
+which includes such a straddling block: the exact cover Figure 5.8
+counts.  A snapshot passes no value indexes, because they track the
+live state.
+
+:func:`explain` lists every applicable path with its exact ``N`` and
+its Equation 5.7 price ``C = I + N (t1 + t_cpu)``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Sequence, Union
 
-from repro.db.query import QueryResult, RangeQuery
-from repro.db.stats import TableStatistics
-from repro.db.table import Table
-from repro.errors import QueryError
-from repro.perf.costmodel import INDEX_BLOCK_FRACTION, PAPER_T1_MS
+from repro.core.phi import OrdinalMapper
+from repro.db.query import BoundPredicate, RangeQuery, leading_ordinal_range
+from repro.index.hashindex import ExtendibleHashIndex
+from repro.index.secondary import SecondaryIndex
+from repro.storage.mvcc import DirectoryEntry
 
-__all__ = ["AccessPlan", "QueryPlanner"]
+__all__ = [
+    "AccessPlan",
+    "BlockDirectory",
+    "Explain",
+    "ValueIndex",
+    "covering_entry",
+    "explain",
+    "plan",
+]
+
+ValueIndex = Union[ExtendibleHashIndex, SecondaryIndex]
+
+
+class BlockDirectory(NamedTuple):
+    """The block directory a read plans over, with its first-ordinal key."""
+
+    entries: Sequence[DirectoryEntry]
+    #: ``entries``' first ordinals, ascending: what the cut bisects.
+    firsts: Sequence[int]
+
+    @classmethod
+    def of(cls, entries: Sequence[DirectoryEntry]) -> "BlockDirectory":
+        """A directory over ``entries``, keying their first ordinals."""
+        return cls(entries, [entry[1] for entry in entries])
+
+
+class AccessPlan(NamedTuple):
+    """One access path and the blocks it reads."""
+
+    path: str  # "primary" | "secondary:X" | "hash:X" | "scan"
+    block_ids: List[int]
+    #: The leading-attribute predicate the primary cut was taken for;
+    #: the block loop slices each block by it.  ``None`` on other paths.
+    leading: Optional[BoundPredicate]
+
+
+def plan(
+    bound: Sequence[BoundPredicate],
+    mapper: OrdinalMapper,
+    directory: BlockDirectory,
+    indexes: Sequence[ValueIndex] = (),
+) -> AccessPlan:
+    """The path a select takes: the first rule that applies.
+
+    ``indexes`` lists hash indexes before secondary indexes, so a hash
+    probe wins a tie on the same attribute.
+    """
+    leading = next((b for b in bound if b[0] == 0), None)
+    if leading is not None:
+        return _primary(mapper, directory, leading)
+    probes = _index_plans(bound, indexes)
+    if probes:
+        return min(probes, key=lambda p: len(p.block_ids))
+    return _scan(directory)
+
+
+def covering_entry(
+    directory: BlockDirectory, ordinal: int
+) -> Optional[DirectoryEntry]:
+    """The one entry a stored ``ordinal`` can be in, or ``None``.
+
+    The first entry whose range reaches ``ordinal``: when a run of that
+    ordinal straddles blocks, this block ends with it.
+    """
+    index = _first_overlapping(directory, ordinal)
+    entries = directory.entries
+    if index < len(entries) and entries[index][1] <= ordinal:
+        return entries[index]
+    return None
+
+
+def _first_overlapping(directory: BlockDirectory, ordinal: int) -> int:
+    """Index of the first entry whose ``last >= ordinal``.
+
+    Every entry before the last one starting below ``ordinal`` ends at
+    or below that one's first ordinal, so it ends below ``ordinal``.
+    """
+    index = max(bisect_left(directory.firsts, ordinal) - 1, 0)
+    entries = directory.entries
+    if index < len(entries) and entries[index][2] < ordinal:
+        index += 1
+    return index
+
+
+def _primary(
+    mapper: OrdinalMapper, directory: BlockDirectory, leading: BoundPredicate
+) -> AccessPlan:
+    lo, hi = leading_ordinal_range(mapper, leading[1], leading[2])
+    start = _first_overlapping(directory, lo)
+    stop = bisect_right(directory.firsts, hi)
+    block_ids = [entry[0] for entry in directory.entries[start:stop]]
+    return AccessPlan("primary", block_ids, leading)
+
+
+def _index_plans(
+    bound: Sequence[BoundPredicate], indexes: Sequence[ValueIndex]
+) -> List[AccessPlan]:
+    """One probe per applicable index, in predicate then index order."""
+    plans = []
+    for pos, lo, hi in bound:
+        for index in indexes:
+            if index.position != pos:
+                continue
+            if isinstance(index, ExtendibleHashIndex):
+                if lo == hi:
+                    plans.append(
+                        AccessPlan(
+                            f"hash:{index.attribute}", index.lookup(lo), None
+                        )
+                    )
+            else:
+                plans.append(
+                    AccessPlan(
+                        f"secondary:{index.attribute}",
+                        index.range_lookup(lo, hi),
+                        None,
+                    )
+                )
+    return plans
+
+
+def _scan(directory: BlockDirectory) -> AccessPlan:
+    return AccessPlan("scan", [entry[0] for entry in directory.entries], None)
 
 
 @dataclass(frozen=True)
-class AccessPlan:
-    """One candidate access path with its predictions."""
+class Explain:
+    """EXPLAIN: every applicable path, its exact ``N`` and its price.
 
-    path: str                 # "primary" | "secondary:X" | "hash:X" | "scan"
-    attribute: Optional[str]
-    estimated_blocks: float
-    estimated_cost_ms: float
+    ``plans`` are listed cheapest first; ``chosen`` indexes the one
+    :func:`plan` picks, which the rules choose, not the price.
+    """
 
-    def describe(self) -> str:
-        """One EXPLAIN line."""
-        return (
-            f"{self.path:<20s} est. N = {self.estimated_blocks:8.1f}   "
-            f"est. cost = {self.estimated_cost_ms:9.1f} ms"
-        )
+    query: RangeQuery
+    plans: List[AccessPlan]
+    costs_ms: List[float]
+    chosen: int
 
-
-class QueryPlanner:
-    """Statistics-driven access-path selection for one table."""
-
-    def __init__(
-        self,
-        table: Table,
-        statistics: Optional[TableStatistics] = None,
-        *,
-        t1_ms: float = PAPER_T1_MS,
-        cpu_ms_per_block: float = 0.5,
-    ):
-        self._table = table
-        if statistics is None:
-            statistics = TableStatistics.collect(
-                table.schema, table.storage.iter_blocks()
+    def __str__(self) -> str:
+        lines = [f"EXPLAIN {self.query!r}"]
+        for i, (p, cost) in enumerate(zip(self.plans, self.costs_ms)):
+            marker = "->" if i == self.chosen else "  "
+            lines.append(
+                f"  {marker} {p.path:<20s} N = {len(p.block_ids):6d}   "
+                f"C = {cost:10.1f} ms"
             )
-        self._stats = statistics
-        self._t1_ms = t1_ms
-        self._cpu_ms = cpu_ms_per_block
-
-    @property
-    def statistics(self) -> TableStatistics:
-        """The statistics bundle plans are computed from."""
-        return self._stats
-
-    # ------------------------------------------------------------------
-    # Costing
-    # ------------------------------------------------------------------
-
-    def _cost_ms(self, blocks: float) -> float:
-        """Equation 5.7: index I/O plus N block reads plus per-block CPU."""
-        index_ms = self._stats.num_blocks * INDEX_BLOCK_FRACTION * self._t1_ms
-        return index_ms + blocks * (self._t1_ms + self._cpu_ms)
-
-    def _scan_cost_ms(self, blocks: float) -> float:
-        """A scan reads no index blocks."""
-        return blocks * (self._t1_ms + self._cpu_ms)
-
-    # ------------------------------------------------------------------
-    # Plan enumeration
-    # ------------------------------------------------------------------
-
-    def candidate_plans(self, query: RangeQuery) -> List[AccessPlan]:
-        """All applicable plans, cheapest first."""
-        plans: List[AccessPlan] = [
-            AccessPlan(
-                path="scan",
-                attribute=None,
-                estimated_blocks=float(self._stats.num_blocks),
-                estimated_cost_ms=self._scan_cost_ms(self._stats.num_blocks),
-            )
-        ]
-        schema = self._table.schema
-        for pred in query.predicates:
-            pos, lo, hi = pred.bind(schema)
-            if pos == 0:
-                blocks = self._stats.estimate_blocks_clustered(
-                    pred.attribute, lo, hi
-                )
-                plans.append(
-                    AccessPlan(
-                        path="primary",
-                        attribute=pred.attribute,
-                        estimated_blocks=blocks,
-                        estimated_cost_ms=self._cost_ms(blocks),
-                    )
-                )
-            if pred.attribute in self._table.secondary_indices:
-                blocks = self._stats.estimate_blocks_scattered(
-                    pred.attribute, lo, hi
-                )
-                plans.append(
-                    AccessPlan(
-                        path=f"secondary:{pred.attribute}",
-                        attribute=pred.attribute,
-                        estimated_blocks=blocks,
-                        estimated_cost_ms=self._cost_ms(blocks),
-                    )
-                )
-            if lo == hi and pred.attribute in self._table.hash_indices:
-                blocks = self._stats.estimate_blocks_scattered(
-                    pred.attribute, lo, hi
-                )
-                plans.append(
-                    AccessPlan(
-                        path=f"hash:{pred.attribute}",
-                        attribute=pred.attribute,
-                        estimated_blocks=blocks,
-                        # hash probes skip the B+ tree descent; charge one
-                        # directory block instead of the 5% index estimate
-                        estimated_cost_ms=self._t1_ms
-                        + blocks * (self._t1_ms + self._cpu_ms),
-                    )
-                )
-        plans.sort(key=lambda p: p.estimated_cost_ms)
-        return plans
-
-    def choose(self, query: RangeQuery) -> AccessPlan:
-        """The cheapest applicable plan."""
-        plans = self.candidate_plans(query)
-        if not plans:
-            raise QueryError("no applicable access plan")
-        return plans[0]
-
-    def explain(self, query: RangeQuery) -> str:
-        """EXPLAIN: every candidate with its estimates, cheapest first."""
-        lines = [f"EXPLAIN {query!r}"]
-        for i, plan in enumerate(self.candidate_plans(query)):
-            marker = "->" if i == 0 else "  "
-            lines.append(f"  {marker} {plan.describe()}")
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------
-    # Planned execution
-    # ------------------------------------------------------------------
 
-    def execute(self, query: RangeQuery) -> QueryResult:
-        """Run the query along the chosen plan's path.
+def explain(
+    query: RangeQuery,
+    bound: Sequence[BoundPredicate],
+    mapper: OrdinalMapper,
+    directory: BlockDirectory,
+    indexes: Sequence[ValueIndex] = (),
+    *,
+    compressed: bool,
+) -> Explain:
+    """Every applicable path, priced as :func:`simulate_workload` would.
 
-        The Table's own path machinery executes the plan; the planner
-        only decides *which* path.
-        """
-        plan = self.choose(query)
-        bound = [p.bind(self._table.schema) for p in query.predicates]
-        if plan.path == "scan":
-            return self._table._scan_all(bound)
-        if plan.path == "primary":
-            leading = next(b for b in bound if b[0] == 0)
-            return self._table._select_clustered(leading, bound)
-        kind, attribute = plan.path.split(":", 1)
-        pred = next(p for p in query.predicates if p.attribute == attribute)
-        pos, lo, hi = pred.bind(self._table.schema)
-        if kind == "hash":
-            block_ids = self._table.hash_indices[attribute].lookup(lo)
-        else:
-            block_ids = self._table.secondary_indices[attribute].range_lookup(
-                lo, hi
-            )
-        return self._table._filter_blocks(block_ids, bound, access_path=plan.path)
+    ``t_cpu`` is the HP 9000/735's ``t2`` for a compressed table and
+    its ``t3`` for a heap table.  A scan reads no index, so its ``I`` is
+    zero; every other path pays the paper's index search time.
+    """
+    # Imported here: repro.perf imports the db layer.
+    from repro.perf.costmodel import index_search_time_s, response_time_s
+    from repro.perf.machines import HP_9000_735
+
+    chosen = plan(bound, mapper, directory, indexes)
+    leading = next((b for b in bound if b[0] == 0), None)
+    plans = (
+        [_primary(mapper, directory, leading)] if leading is not None else []
+    )
+    plans += _index_plans(bound, indexes)
+    plans.append(_scan(directory))
+    t_cpu = HP_9000_735.t2_ms if compressed else HP_9000_735.t3_ms
+    index_s = index_search_time_s(len(directory.entries))
+
+    def cost_ms(p: AccessPlan) -> float:
+        i_s = 0.0 if p.path == "scan" else index_s
+        return 1000.0 * response_time_s(
+            i_s, len(p.block_ids), cpu_ms_per_block=t_cpu
+        )
+
+    # Sorting is stable: equal prices keep rule order.
+    ranked = sorted(plans, key=cost_ms)
+    return Explain(
+        query=query,
+        plans=ranked,
+        costs_ms=[cost_ms(p) for p in ranked],
+        chosen=ranked.index(chosen),
+    )

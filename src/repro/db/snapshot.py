@@ -8,12 +8,13 @@ through the store (stashed pre-image first, current payload as the
 fallback), so a snapshot never observes half of a mutation — the
 property the serving layer's reader threads rely on (docs/SERVING.md).
 
-Snapshots deliberately do **not** reuse the table's live indices; those
-track the *current* state.  Instead they plan from their own frozen
-directory: bisecting the ``(first, last)`` phi-ordinal ranges (the
-store keys each epoch's first ordinals once) gives the same
-contiguous-run pruning the primary index would for a leading-attribute
-predicate, and a point probe finds its one covering block the same way.
+Snapshots plan with the table's one planner (:mod:`repro.db.planner`)
+but deliberately do **not** hand it the table's live value indices;
+those track the *current* state.  The planner cuts the frozen
+directory instead: it bisects the ``(first, last)`` phi-ordinal ranges
+(the store keys each epoch's first ordinals once), exactly as a live
+select cuts the live directory, and a point probe finds its one
+covering block the same way.
 
 On an MVCC-enabled vector-codec table every snapshot, every reader
 thread and the table's own live selects share the table's one
@@ -34,18 +35,13 @@ A snapshot pins superseded block versions, so it must be closed;
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.vectorized import VectorizedBlockCodec
-from repro.db.query import (
-    BoundPredicate,
-    QueryResult,
-    RangeQuery,
-    leading_ordinal_range,
-)
+from repro.db.planner import BlockDirectory, plan
+from repro.db.query import BoundPredicate, QueryResult, RangeQuery
 from repro.errors import QueryError
 from repro.obs import runtime as _obs
 from repro.storage.mvcc import BlockVersionStore, SnapshotHandle
@@ -103,11 +99,12 @@ class TableSnapshot:
     ) -> QueryResult:
         """Execute a conjunctive range query against the frozen state.
 
-        Planning mirrors the live table's first preference: a predicate
-        on the leading attribute bisects the frozen directory to the
-        contiguous run of entries whose ordinal range overlaps it;
-        anything else scans every entry.  Results are ordinal tuples in
-        phi order, exactly as :meth:`Table.select` returns them.
+        The table's planner (:func:`repro.db.planner.plan`) plans over
+        the frozen directory with no value index: a predicate on the
+        leading attribute bisects it to the contiguous run of entries
+        whose ordinal range overlaps it ("primary"); anything else scans
+        every entry ("scan").  Results are ordinal tuples in phi order,
+        exactly as :meth:`Table.select` returns them.
 
         The blocks are then read by the table's one block loop
         (:meth:`Table._read_blocks`), the same one live selects use:
@@ -130,19 +127,8 @@ class TableSnapshot:
         self._require_open()
         table = self._table
         bound = [p.bind(table.schema) for p in query.predicates]
-        leading = next((b for b in bound if b[0] == 0), None)
-        directory = self._handle.directory
-        if leading is not None:
-            lo, hi = leading_ordinal_range(
-                table.schema.mapper, leading[1], leading[2]
-            )
-            start = self._first_overlapping(lo)
-            stop = bisect_right(self._handle.firsts, hi)
-            directory = directory[start:stop]
-            access_path = "snapshot-directory"
-        else:
-            access_path = "snapshot-scan"
-        candidates = [entry[0] for entry in directory]
+        chosen = plan(bound, table.schema.mapper, self._directory())
+        candidates = chosen.block_ids
         with _obs.span(
             "snapshot.select",
             table=table.name,
@@ -155,7 +141,7 @@ class TableSnapshot:
                 candidates,
                 self._read_payload,
                 bound,
-                leading,
+                chosen.leading,
                 repair=False,
                 should_cancel=should_cancel,
             )
@@ -163,7 +149,7 @@ class TableSnapshot:
             tuples=scan.rows,
             blocks_read=len(candidates) - len(scan.skipped),
             tuples_examined=scan.examined,
-            access_path=access_path,
+            access_path=chosen.path,
             candidate_blocks=candidates,
             skipped_blocks=scan.skipped,
         )
@@ -180,16 +166,9 @@ class TableSnapshot:
         than answering "absent".
         """
         self._require_open()
-        t = tuple(int(v) for v in values)
-        mapper = self._table.schema.mapper
-        mapper.validate(t)
-        entry = self._covering_entry(mapper.phi(t))
-        if entry is None:
-            return False
-        payload = self._table._fetch_guarded(
-            entry[0], self._read_payload, repair=False
+        return self._table._probe(
+            self._directory(), values, self._read_payload, repair=False
         )
-        return t in self._table.storage.decode_payload(payload)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -217,27 +196,8 @@ class TableSnapshot:
         if self._closed:
             raise QueryError("snapshot is closed")
 
-    def _first_overlapping(self, ordinal: int) -> int:
-        """Index of the first directory entry whose ``last >= ordinal``.
-
-        Entries are phi-clustered (``last[i] <= first[i + 1]``), so only
-        the last entry starting below ``ordinal`` can end at or past it
-        while starting before it; every later entry starts at or past it.
-        """
-        index = max(bisect_left(self._handle.firsts, ordinal) - 1, 0)
-        directory = self._handle.directory
-        if index < len(directory) and directory[index][2] < ordinal:
-            index += 1
-        return index
-
-    def _covering_entry(
-        self, ordinal: int
-    ) -> Optional[Tuple[int, int, int, int]]:
-        index = self._first_overlapping(ordinal)
-        directory = self._handle.directory
-        if index < len(directory) and directory[index][1] <= ordinal:
-            return directory[index]
-        return None
+    def _directory(self) -> BlockDirectory:
+        return BlockDirectory(self._handle.directory, self._handle.firsts)
 
     def _read_payload(self, block_id: int) -> bytes:
         return self._store.read(

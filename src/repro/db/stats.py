@@ -1,59 +1,18 @@
-"""Table statistics: histograms, selectivity, and block-touch estimation.
+"""Attribute histograms: equi-width bucket counts and selectivity.
 
-The paper *measures* ``N`` (blocks accessed) by simulation; a real
-engine must *predict* it to choose access paths.  This module supplies
-the classic machinery:
-
-* :class:`AttributeHistogram` — equi-width bucket counts over one
-  attribute's ordinal domain, answering range-selectivity estimates;
-* Yao's formula (:func:`yao_blocks_touched`) — the expected number of
-  blocks containing at least one of ``k`` qualifying tuples scattered
-  over ``b`` blocks;
-* :class:`TableStatistics` — the per-table bundle the
-  :mod:`repro.db.planner` consumes, built from one storage scan.
+:class:`AttributeHistogram` counts one attribute's ordinal values in
+equi-width buckets and answers range-selectivity estimates; ``repro
+stats`` reports them.  The planner needs no estimate: it asks the
+directory and the value indexes for exact candidate sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import QueryError
-from repro.relational.schema import Schema
 
-__all__ = [
-    "AttributeHistogram",
-    "TableStatistics",
-    "yao_blocks_touched",
-]
-
-
-def yao_blocks_touched(num_tuples: int, num_blocks: int, k: int) -> float:
-    """Yao's formula: expected blocks holding >= 1 of ``k`` chosen tuples.
-
-    With ``n`` tuples packed ``n/b`` per block, choosing ``k`` tuples
-    uniformly without replacement touches
-
-        ``b * (1 - prod_{i=0}^{u-1} (n - u - k + ... ))``
-
-    approximated here by the standard ``b * (1 - (1 - k/n)^u)`` form,
-    which is exact in the sampling-with-replacement limit and accurate
-    for the sizes the planner sees.
-
-    >>> yao_blocks_touched(1000, 10, 0)
-    0.0
-    >>> yao_blocks_touched(1000, 10, 1000)
-    10.0
-    """
-    if num_blocks <= 0 or num_tuples <= 0:
-        return 0.0
-    k = max(0, min(k, num_tuples))
-    if k == 0:
-        return 0.0
-    if k == num_tuples:
-        return float(num_blocks)
-    u = num_tuples / num_blocks
-    return num_blocks * (1.0 - (1.0 - k / num_tuples) ** u)
+__all__ = ["AttributeHistogram"]
 
 
 class AttributeHistogram:
@@ -139,69 +98,3 @@ class AttributeHistogram:
         if self._total == 0:
             return 0.0
         return self.estimate_count(lo, hi) / self._total
-
-
-@dataclass
-class TableStatistics:
-    """Per-table statistics bundle consumed by the planner."""
-
-    num_tuples: int
-    num_blocks: int
-    histograms: Dict[str, AttributeHistogram]
-
-    @classmethod
-    def collect(
-        cls,
-        schema: Schema,
-        blocks: Iterable[Tuple[int, Iterable[Sequence[int]]]],
-        *,
-        num_buckets: int = 32,
-    ) -> "TableStatistics":
-        """Build statistics with one pass over ``(block_id, tuples)``."""
-        histograms = {
-            name: AttributeHistogram(size, num_buckets)
-            for name, size in zip(schema.names, schema.domain_sizes)
-        }
-        positions = list(enumerate(schema.names))
-        num_tuples = 0
-        num_blocks = 0
-        for _, tuples in blocks:
-            num_blocks += 1
-            for t in tuples:
-                num_tuples += 1
-                for pos, name in positions:
-                    histograms[name].add(t[pos])
-        return cls(
-            num_tuples=num_tuples,
-            num_blocks=num_blocks,
-            histograms=histograms,
-        )
-
-    def histogram(self, attribute: str) -> AttributeHistogram:
-        """The named attribute's histogram."""
-        try:
-            return self.histograms[attribute]
-        except KeyError:
-            raise QueryError(
-                f"no statistics for attribute {attribute!r}; "
-                f"have {sorted(self.histograms)}"
-            )
-
-    def estimate_matching_tuples(self, attribute: str, lo: int, hi: int) -> float:
-        """Expected tuples with the attribute in ``[lo, hi]``."""
-        return self.histogram(attribute).estimate_count(lo, hi)
-
-    def estimate_blocks_scattered(self, attribute: str, lo: int, hi: int) -> float:
-        """Yao estimate of blocks touched by a *non-clustered* range."""
-        k = round(self.estimate_matching_tuples(attribute, lo, hi))
-        return yao_blocks_touched(self.num_tuples, self.num_blocks, int(k))
-
-    def estimate_blocks_clustered(self, attribute: str, lo: int, hi: int) -> float:
-        """Blocks touched by a *clustered* range: a contiguous fraction."""
-        selectivity = self.histogram(attribute).estimate_selectivity(lo, hi)
-        if selectivity <= 0.0:
-            return 0.0
-        # a contiguous run plus one boundary block on each side
-        return min(
-            float(self.num_blocks), selectivity * self.num_blocks + 1.0
-        )

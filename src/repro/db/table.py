@@ -1,13 +1,13 @@
 """The table facade: storage plus indices plus Section 4 operations.
 
 A :class:`Table` ties together one stored relation (AVQ-coded or plain
-heap), the whole-tuple primary index of Figure 4.4, and any number of
-Figure 4.5 secondary indices.  It exposes the operations Section 4
-discusses:
+heap), its block directory, and any number of Figure 4.5 secondary
+and hash indices.  It exposes the operations Section 4 discusses:
 
-* ``select`` — range queries with automatic access-path choice
-  (primary-index clustered scan for the leading attribute, secondary
-  index where one exists, full scan otherwise);
+* ``select`` — range queries with automatic access-path choice by the
+  one planner (:mod:`repro.db.planner`): the clustered directory cut
+  for the leading attribute, a value index where one exists, full scan
+  otherwise;
 * ``insert`` / ``delete`` / ``update`` — Section 4.2 mutations, confined
   to the affected block, with all indices maintained incrementally.
 
@@ -37,6 +37,14 @@ from repro.errors import (
     QueryCancelled,
     QueryError,
 )
+from repro.db.planner import (
+    BlockDirectory,
+    Explain,
+    ValueIndex,
+    covering_entry,
+    explain,
+    plan,
+)
 from repro.db.query import (
     BoundPredicate,
     QueryResult,
@@ -53,7 +61,7 @@ from repro.db.snapshot import (
 from repro.obs import runtime as _obs
 from repro.obs.profile import QueryProfile, QueryProfiler
 from repro.index.hashindex import ExtendibleHashIndex
-from repro.index.primary import PrimaryIndex, TupleOrdinalIndex
+from repro.index.primary import TupleOrdinalIndex
 from repro.index.secondary import SecondaryIndex
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -130,9 +138,7 @@ class Table:
             from repro.storage.buffer import BufferPool
 
             self._buffer = BufferPool(storage._disk, buffer_capacity)
-        self._primary = PrimaryIndex.build(
-            schema.mapper, storage.directory(), order=index_order
-        )
+        self._heap_directory = BlockDirectory((), ())
         self._secondaries: Dict[str, SecondaryIndex] = {}
         self._hash_indices: Dict[str, ExtendibleHashIndex] = {}
         self._tuple_index: Optional[TupleOrdinalIndex] = None
@@ -148,6 +154,18 @@ class Table:
             raise QueryError(
                 "online integrity requires compressed storage (heap "
                 "tables are read-only baselines)"
+            )
+        else:
+            # The directory's cut and probes assume phi-clustered blocks.
+            if not storage._sort:  # shared within the package
+                raise QueryError("heap tables need a phi-sorted heap file")
+            # Heap tables never mutate: one pass keys their directory.
+            phi = schema.mapper.phi
+            self._heap_directory = BlockDirectory.of(
+                [
+                    (block_id, phi(tuples[0]), phi(tuples[-1]), len(tuples))
+                    for block_id, tuples in storage.iter_blocks()
+                ]
             )
 
     def _build_tuple_index(self, storage: AVQFile) -> TupleOrdinalIndex:
@@ -356,11 +374,6 @@ class Table:
         return isinstance(self._storage, AVQFile)
 
     @property
-    def primary_index(self) -> PrimaryIndex:
-        """The whole-tuple primary index."""
-        return self._primary
-
-    @property
     def secondary_indices(self) -> Dict[str, SecondaryIndex]:
         """Secondary indices by attribute name."""
         return dict(self._secondaries)
@@ -370,10 +383,16 @@ class Table:
         """Hash indices by attribute name."""
         return dict(self._hash_indices)
 
-    def _value_indices(self):
-        """All value-to-block indices that need mutation maintenance."""
-        yield from self._secondaries.values()
-        yield from self._hash_indices.values()
+    def _value_indices(self) -> List[ValueIndex]:
+        """Every value-to-block index: hash indices first, so the planner
+        tries a hash probe before a secondary one on the same attribute."""
+        return [*self._hash_indices.values(), *self._secondaries.values()]
+
+    def _directory(self) -> BlockDirectory:
+        """The block directory live reads plan over."""
+        if isinstance(self._storage, AVQFile):
+            return BlockDirectory.of(self._storage.directory_entries())
+        return self._heap_directory
 
     @property
     def num_tuples(self) -> int:
@@ -395,56 +414,66 @@ class Table:
     def select(self, query: RangeQuery) -> QueryResult:
         """Execute a conjunctive range query, choosing an access path.
 
-        Path choice, in order of preference:
-
-        1. A predicate on the *leading* attribute uses the primary index:
-           the relation is phi-clustered, so matching tuples occupy one
-           contiguous run of blocks.
-        2. Any predicate attribute with a secondary index uses the index
-           with the smallest candidate block set.
-        3. Otherwise, full scan.
+        The one planner (:func:`repro.db.planner.plan`) picks the path
+        over the live directory and this table's value indices: the
+        clustered cut for a leading-attribute predicate, else the value
+        index with the fewest candidate blocks, else a full scan.
         """
-        if not query.predicates:
-            return self._scan_all()
         bound = [p.bind(self._schema) for p in query.predicates]
-
-        leading = next((b for b in bound if b[0] == 0), None)
-        if leading is not None:
-            return self._select_clustered(leading, bound)
-
-        best: Optional[Tuple[List[int], str]] = None
-        for pred, (pos, lo, hi) in zip(query.predicates, bound):
-            if lo == hi:
-                hidx = self._hash_indices.get(pred.attribute)
-                if hidx is not None:
-                    candidates = hidx.lookup(lo)
-                    if best is None or len(candidates) < len(best[0]):
-                        best = (candidates, f"hash:{pred.attribute}")
-            idx = self._secondaries.get(pred.attribute)
-            if idx is None:
-                continue
-            candidates = idx.range_lookup(lo, hi)
-            if best is None or len(candidates) < len(best[0]):
-                best = (candidates, f"secondary:{pred.attribute}")
-        if best is not None:
-            return self._filter_blocks(
-                best[0], bound, access_path=best[1]
+        chosen = plan(
+            bound,
+            self._schema.mapper,
+            self._directory(),
+            self._value_indices(),
+        )
+        disk = self._disk()
+        start_ms = disk.stats.elapsed_ms
+        profiler = QueryProfiler(
+            disk.stats,
+            self._buffer.stats if self._buffer is not None else None,
+        )
+        with _obs.span(
+            "query.select",
+            table=self._name,
+            access_path=chosen.path,
+            candidates=len(chosen.block_ids),
+            codec_path=self._codec_path(),
+        ):
+            scan = self._read_blocks(
+                chosen.block_ids, self._current_payload, bound, chosen.leading
             )
-        return self._scan_all(bound)
-
-    def _select_clustered(self, leading, bound) -> QueryResult:
-        lo, hi = leading_ordinal_range(
-            self._schema.mapper, leading[1], leading[2]
+        profile = profiler.finish(
+            access_path=chosen.path,
+            candidate_blocks=len(chosen.block_ids),
+            tuples_examined=scan.examined,
+            matched=len(scan.rows),
+            skipped_blocks=len(scan.skipped),
+            decoded_hits=scan.cache_hits,
+            decoded_misses=scan.cache_misses,
+            stages={"fetch_decode": scan.fetch_ms, "filter": scan.filter_ms},
         )
-        block_ids = self._primary.range_blocks(lo, hi)
-        return self._filter_blocks(
-            block_ids, bound, access_path="primary", leading=leading
+        self._publish_query_metrics(profile)
+        return QueryResult(
+            tuples=scan.rows,
+            blocks_read=len(chosen.block_ids) - len(scan.skipped),
+            tuples_examined=scan.examined,
+            access_path=chosen.path,
+            io_ms=disk.stats.elapsed_ms - start_ms,
+            candidate_blocks=chosen.block_ids,
+            skipped_blocks=scan.skipped,
+            profile=profile,
         )
 
-    def _read_block_id(self, block_id: int):
-        """Fetch and decode one block to tuples, integrity-guarded."""
-        return self._storage.decode_payload(
-            self._fetch_guarded(block_id, self._current_payload)
+    def explain(self, query: RangeQuery) -> Explain:
+        """EXPLAIN: every applicable path with its exact ``N`` and its
+        Equation 5.7 cost, the one :meth:`select` takes marked."""
+        return explain(
+            query,
+            [p.bind(self._schema) for p in query.predicates],
+            self._schema.mapper,
+            self._directory(),
+            self._value_indices(),
+            compressed=self.compressed,
         )
 
     def _fetch_guarded(
@@ -606,6 +635,7 @@ class Table:
         *,
         repair: bool = True,
         should_cancel: Optional[Callable[[], bool]] = None,
+        allow_skip: bool = True,
     ) -> _BlockScan:
         """The one block loop behind every select, live or snapshot.
 
@@ -618,9 +648,12 @@ class Table:
         leading-attribute predicate, becomes one slice).  Scalar-codec
         and heap tables decode tuples and run :func:`filter_tuples`.
         Under the "skip" policy a quarantined block is listed in
-        ``skipped`` instead of raising.  ``fetch_ms`` covers fetch and
-        decode, ``filter_ms`` the filter (the Eq. 5.7 ``t1`` and
-        ``t_cpu`` terms, as far as the wall clock separates them).
+        ``skipped`` instead of raising, unless ``allow_skip`` is false:
+        an answer that cannot name what it left out (an aggregate, a
+        join, a point probe) raises under every policy.  ``fetch_ms``
+        covers fetch and decode, ``filter_ms`` the filter (the Eq. 5.7
+        ``t1`` and ``t_cpu`` terms, as far as the wall clock separates
+        them).
         """
         cache = self._ordinals
         vec = self._array_codec()
@@ -630,7 +663,7 @@ class Table:
                 self._schema.mapper, leading[1], leading[2]
             )
         masked = [b for b in bound if b is not leading]
-        skip = self._skip_degraded()
+        skip = allow_skip and self._skip_degraded()
         tally0 = cache.tally() if cache is not None else (0, 0)
         out: List[Tuple[int, ...]] = []
         examined = 0
@@ -679,56 +712,6 @@ class Table:
             cache_hits=tally[0] - tally0[0],
             cache_misses=tally[1] - tally0[1],
         )
-
-    def _filter_blocks(
-        self, block_ids, bound, *, access_path, leading=None
-    ) -> QueryResult:
-        disk = self._disk()
-        start_ms = disk.stats.elapsed_ms
-        profiler = QueryProfiler(
-            disk.stats,
-            self._buffer.stats if self._buffer is not None else None,
-        )
-        with _obs.span(
-            "query.select",
-            table=self._name,
-            access_path=access_path,
-            candidates=len(block_ids),
-            codec_path=self._codec_path(),
-        ):
-            scan = self._read_blocks(
-                block_ids, self._current_payload, bound, leading
-            )
-        profile = profiler.finish(
-            access_path=access_path,
-            candidate_blocks=len(block_ids),
-            tuples_examined=scan.examined,
-            matched=len(scan.rows),
-            skipped_blocks=len(scan.skipped),
-            decoded_hits=scan.cache_hits,
-            decoded_misses=scan.cache_misses,
-            stages={"fetch_decode": scan.fetch_ms, "filter": scan.filter_ms},
-        )
-        self._publish_query_metrics(profile)
-        return QueryResult(
-            tuples=scan.rows,
-            blocks_read=len(block_ids) - len(scan.skipped),
-            tuples_examined=scan.examined,
-            access_path=access_path,
-            io_ms=disk.stats.elapsed_ms - start_ms,
-            candidate_blocks=list(block_ids),
-            skipped_blocks=scan.skipped,
-            profile=profile,
-        )
-
-    def _scan_all(self, bound=()) -> QueryResult:
-        # A full scan visits every block by id through the same block
-        # loop as any other select; a scan lists no candidate blocks.
-        result = self._filter_blocks(
-            self._storage.block_ids, bound, access_path="scan"
-        )
-        result.candidate_blocks = []
-        return result
 
     def _codec_path(self) -> str:
         """Which decode implementation this table's reads run through."""
@@ -980,7 +963,6 @@ class Table:
         if storage.num_blocks == 0:
             storage.insert(t)
             block_id = storage.block_ids[0]
-            self._primary.add_block(storage.block_range(0)[0], block_id)
             for idx in self._value_indices():
                 idx.add(t[idx.position], block_id)
             if self._tuple_index is not None:
@@ -989,7 +971,6 @@ class Table:
             return
 
         pos = storage.block_of_ordinal(ordinal)
-        old_min = storage.block_range(pos)[0]
         old_id = storage.block_ids[pos]
         if self._integrity is not None:
             self._integrity.check(old_id)
@@ -1001,14 +982,7 @@ class Table:
         storage.insert(t)
         if self._buffer is not None:
             self._buffer.invalidate(old_id)
-
-        new_min = storage.block_range(pos)[0]
-        if new_min != old_min:
-            self._primary.move_block(old_min, new_min, old_id)
         split = storage.num_blocks > blocks_before
-        if split:
-            new_id = storage.block_ids[pos + 1]
-            self._primary.add_block(storage.block_range(pos + 1)[0], new_id)
         if self._tuple_index is not None:
             # Provisionally file the new tuple under the old block, then
             # migrate every occurrence the split moved right — covers
@@ -1054,7 +1028,6 @@ class Table:
             return False
 
         pos = storage.block_of_ordinal(ordinal)
-        old_min = storage.block_range(pos)[0]
         old_id = storage.block_ids[pos]
         if self._integrity is not None:
             self._integrity.check(old_id)
@@ -1071,20 +1044,9 @@ class Table:
         if self._tuple_index is not None:
             self._tuple_index.remove(ordinal, old_id)
 
-        removed = storage.num_blocks < blocks_before
-        if removed:
-            self._primary.remove_block(old_min)
-            if has_value_indices:
-                for idx in self._value_indices():
-                    idx.reindex_block(old_id, old_tuples, [])
-            self._wal_log("delete", ordinal)
-            return True
-
-        new_min = storage.block_range(pos)[0]
-        if new_min != old_min:
-            self._primary.move_block(old_min, new_min, old_id)
         if has_value_indices:
-            new_tuples = storage.read_block(pos)
+            emptied = storage.num_blocks < blocks_before
+            new_tuples = [] if emptied else storage.read_block(pos)
             for idx in self._value_indices():
                 idx.reindex_block(old_id, old_tuples, new_tuples)
         self._wal_log("delete", ordinal)
@@ -1100,30 +1062,36 @@ class Table:
     def contains(self, values: Sequence[int]) -> bool:
         """Point probe: whether this exact tuple is stored.
 
-        Compressed tables answer via the early-exit difference-stream
-        walk (one block read, no reconstruction); heap tables decode the
-        one candidate block.
+        Reads the one block the directory says can hold it, through the
+        same guarded fetch, decode and filter as :meth:`select`; a
+        tuple outside every block's range costs no read.
+        """
+        return self._probe(self._directory(), values, self._current_payload)
+
+    def _probe(
+        self,
+        directory: BlockDirectory,
+        values: Sequence[int],
+        source: Callable[[int], bytes],
+        *,
+        repair: bool = True,
+    ) -> bool:
+        """Whether ``values`` is stored in ``directory``'s blocks.
+
+        A corrupt or quarantined block raises rather than answering
+        "absent", under every policy.
         """
         t = tuple(int(v) for v in values)
         self._schema.mapper.validate(t)
-        storage = self._storage
-        if isinstance(storage, AVQFile):
-            return self._guarded(lambda: self._contains_impl(storage, t))
-        if storage.num_blocks == 0:
+        entry = covering_entry(directory, self._schema.mapper.phi(t))
+        if entry is None:
             return False
-        pos = storage.block_of_ordinal(self._schema.mapper.phi(t))
-        return t in storage.read_block(pos)
-
-    def _contains_impl(self, storage: AVQFile, t: Tuple[int, ...]) -> bool:
-        ordinal = self._schema.mapper.phi(t)
-        pos = storage.covering_block_of_ordinal(ordinal)
-        if pos is None:
-            return False
-        if self._integrity is not None:
-            # A probe must never answer "absent" from a quarantined
-            # block — refuse (or repair) before looking.
-            self._integrity.check(storage.block_id_at(pos))
-        return storage.contains_ordinal(ordinal)
+        bound = [(pos, v, v) for pos, v in enumerate(t)]
+        scan = self._read_blocks(
+            [entry[0]], source, bound, bound[0], repair=repair,
+            allow_skip=False,
+        )
+        return bool(scan.rows)
 
     def delete_where(self, query: RangeQuery) -> int:
         """Delete every tuple matching ``query``; returns the count.
@@ -1148,9 +1116,6 @@ class Table:
         """
         storage = self._require_avq("compact")
         saved = storage.compact()
-        self._primary = PrimaryIndex.build(
-            self._schema.mapper, storage.directory(), order=self._index_order
-        )
         rebuilt_secondaries = {}
         for name in self._secondaries:
             rebuilt_secondaries[name] = SecondaryIndex.build(

@@ -23,6 +23,7 @@ import pytest
 
 from repro.db.aggregates import aggregate
 from repro.db.database import Database
+from repro.db.join import block_nested_loop_join, index_nested_loop_join
 from repro.db.query import RangeQuery
 from repro.db.table import Table
 from repro.errors import (
@@ -36,13 +37,15 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultInjector, FaultyDisk
 
 
-def build(policy, *, rows=220, tuple_index=True, seed=1, caches=False):
+def build(
+    policy, *, rows=220, tuple_index=True, seed=1, caches=False, name="t"
+):
     disk = FaultyDisk(block_size=256, injector=FaultInjector(seed=seed))
     values = [(i, i % 9, i % 4) for i in range(rows)]
     schema = SchemaInferencer().infer(values, ["a", "b", "c"])
     relation = Relation.from_values(schema, values)
     table = Table.from_relation(
-        "t", relation, disk,
+        name, relation, disk,
         degraded_reads=policy, tuple_index=tuple_index,
         secondary_on=["b"], buffer_capacity=8 if caches else None,
     )
@@ -101,6 +104,24 @@ class TestRaisePolicy:
             with pytest.raises(QuarantinedBlockError, match=str(target)):
                 aggregate(table, "sum", "b", ALL)
             assert table.quarantined_blocks == [target]
+        assert disk.stats.blocks_read == reads
+
+    @pytest.mark.parametrize(
+        "join", [index_nested_loop_join, block_nested_loop_join]
+    )
+    def test_join_reads_through_the_guard(self, join):
+        """Joins read blocks like selects: a rotted outer block raises
+        QuarantinedBlockError and is quarantined, and a second join is
+        refused before any disk read."""
+        outer, disk = build("raise")
+        inner, _ = build("raise", seed=2, name="inner")
+        target = outer.storage.block_ids[0]
+        disk.rot_block(target)
+        for _ in range(2):
+            reads = disk.stats.blocks_read
+            with pytest.raises(QuarantinedBlockError, match=str(target)):
+                join(outer, "b", inner, "b")
+            assert outer.quarantined_blocks == [target]
         assert disk.stats.blocks_read == reads
 
     def test_insert_into_quarantined_block_raises(self):

@@ -95,7 +95,7 @@ class TestSnapshotBasics:
             assert sorted(result.tuples) == [
                 (1, 2, 3), (2, 3, 4), (3, 4, 5),
             ]
-            assert result.access_path == "snapshot-directory"
+            assert result.access_path == "primary"
             assert snap.contains((2, 3, 4))
             assert not snap.contains((2, 0, 0))  # post-snapshot insert
         live = table.select(RangeQuery([RangePredicate("a", 2, 2)]))

@@ -4,13 +4,16 @@
 block loop.  It filters a vector-codec table in ordinal space — one
 ``searchsorted`` slice for the leading attribute, vector masks for the
 rest, tuples built only for the matches — and a scalar-codec table
-tuple-at-a-time.  The two still plan differently, so the live path and
-a brute-force oracle under it are the specification: both must return
-identical rows in identical phi order and account for the same blocks
-read and tuples examined (up to the one planning difference
-:func:`live_expectation` documents), on vector-eligible schemas and on
-the scalar fallback alike, before and after writes that split blocks,
-and through stashed versions a held snapshot reads.  Every snapshot
+tuple-at-a-time.  Both plan with the one planner over their own
+directory, so the live path and a brute-force oracle under it are the
+specification: both must return identical rows in identical phi order,
+take the same path, list the same candidate blocks and account for the
+same blocks read and tuples examined, on vector-eligible schemas and
+on the scalar fallback alike, before and after writes that split
+blocks, and through stashed versions a held snapshot reads.  Relations
+mix in long runs of one tuple, so runs straddle block boundaries
+(``last[i] == first[i + 1]``) and splits leave blocks that share a
+first ordinal.  Every snapshot
 select runs twice, so on a vector-codec table the second answer comes
 from the table's ordinal cache.  Live selects on the vector and the
 scalar codec of the same rows must agree the same way.
@@ -76,10 +79,15 @@ def values(size):
     )
 
 
-def rows_for(sizes):
-    return st.lists(
-        st.tuples(*(values(s) for s in sizes)), min_size=1, max_size=60
-    )
+@st.composite
+def rows_for(draw, sizes):
+    """Rows plus up to two heavy duplicates: a block holds about 55
+    copies of one tuple at ``BLOCK_SIZE``, so a long run straddles."""
+    row = st.tuples(*(values(s) for s in sizes))
+    rows = draw(st.lists(row, min_size=1, max_size=60))
+    for heavy in draw(st.lists(row, max_size=2)):
+        rows += [heavy] * draw(st.integers(2, 120))
+    return rows
 
 
 @st.composite
@@ -125,40 +133,26 @@ def oracle(table, rows, query):
 
 
 def live_expectation(table, query):
-    """What a snapshot of the table's current state must return.
-
-    The live select's answer, with one documented planning difference:
-    the primary index keys blocks by first ordinal only, so a leading
-    range always reads the floor block of its low end, even one that
-    ends below it.  The snapshot's directory also holds each block's
-    last ordinal and skips that block, so it reads one block (and that
-    block's tuples) fewer.  Everything else must agree exactly.
-    """
+    """What a snapshot of the table's current state must return: the
+    live select's answer, exactly."""
     live = table.select(query)
-    candidates = list(live.candidate_blocks)
-    blocks_read, examined = live.blocks_read, live.tuples_examined
-    if live.access_path == "primary" and candidates:
-        bound = [p.bind(table.schema) for p in query.predicates]
-        lo = next(b for b in bound if b[0] == 0)[1]
-        lo_ordinal = lo * table.schema.mapper.weights[0]
-        entries = {e[0]: e for e in table.storage.directory_entries()}
-        floor = entries[candidates[0]]
-        if floor[2] < lo_ordinal:
-            candidates.pop(0)
-            blocks_read -= 1
-            examined -= floor[3]
-    else:
-        candidates = None  # a scan: the live result lists no candidates
-    return live.tuples, blocks_read, examined, candidates
+    return (
+        live.tuples,
+        live.access_path,
+        live.candidate_blocks,
+        live.blocks_read,
+        live.tuples_examined,
+    )
 
 
 def assert_same_result(got, want):
-    tuples, blocks_read, examined, candidates = want
-    assert got.tuples == tuples
-    assert got.blocks_read == blocks_read
-    assert got.tuples_examined == examined
-    if candidates is not None:
-        assert got.candidate_blocks == candidates
+    assert (
+        got.tuples,
+        got.access_path,
+        got.candidate_blocks,
+        got.blocks_read,
+        got.tuples_examined,
+    ) == want
 
 
 def assert_selects_twice(snap, query, want):
@@ -395,3 +389,35 @@ class TestCancellation:
         assert result.blocks_read == table.num_blocks
         assert len(decodes) == table.num_blocks - 2
         assert table.ordinal_cache.hits == 2
+
+
+class TestValueIndexFallback:
+    def test_snapshot_plans_by_the_directory(self):
+        """The live value indexes track the current state, so a
+        snapshot never probes them: where a live select takes a
+        secondary or hash index, the snapshot plans by its directory
+        and returns the same rows."""
+        sizes = SCHEMAS["vector-3"]
+        rows = [(i % 6, i % 8, i % 10) for i in range(200)]
+        table = make_table(sizes, rows)
+        table.create_secondary_index("a1")
+        table.create_hash_index("a2")
+        cases = [
+            (RangeQuery.equals("a1", 3), "secondary:a1", "scan"),
+            (RangeQuery.equals("a2", 4), "hash:a2", "scan"),
+            (
+                RangeQuery(
+                    [RangePredicate("a0", 1, 2), RangePredicate("a1", 3, 3)]
+                ),
+                "primary",
+                "primary",
+            ),
+        ]
+        with table.read_snapshot() as snap:
+            for query, live_path, snap_path in cases:
+                live = table.select(query)
+                got = snap.select(query)
+                assert (live.access_path, got.access_path) == (
+                    live_path, snap_path,
+                )
+                assert got.tuples == live.tuples == oracle(table, rows, query)

@@ -1,40 +1,9 @@
-"""Unit tests for histograms, Yao's formula, and table statistics."""
-
-import random
+"""Unit tests for attribute histograms."""
 
 import pytest
 
-from repro.db.stats import (
-    AttributeHistogram,
-    TableStatistics,
-    yao_blocks_touched,
-)
+from repro.db.stats import AttributeHistogram
 from repro.errors import QueryError
-from repro.relational.domain import IntegerRangeDomain
-from repro.relational.relation import Relation
-from repro.relational.schema import Attribute, Schema
-from repro.storage.avqfile import AVQFile
-from repro.storage.disk import SimulatedDisk
-
-
-class TestYao:
-    def test_boundary_cases(self):
-        assert yao_blocks_touched(1000, 10, 0) == 0.0
-        assert yao_blocks_touched(1000, 10, 1000) == 10.0
-        assert yao_blocks_touched(0, 10, 5) == 0.0
-        assert yao_blocks_touched(1000, 0, 5) == 0.0
-
-    def test_monotone_in_k(self):
-        values = [yao_blocks_touched(10_000, 100, k) for k in range(0, 10_000, 500)]
-        assert values == sorted(values)
-        assert all(v <= 100 for v in values)
-
-    def test_oversized_k_clamped(self):
-        assert yao_blocks_touched(100, 10, 10**6) == 10.0
-
-    def test_small_k_touches_roughly_k_blocks(self):
-        # with many blocks and few picks, each pick lands in its own block
-        assert yao_blocks_touched(100_000, 1000, 5) == pytest.approx(5, rel=0.05)
 
 
 class TestHistogram:
@@ -93,52 +62,3 @@ class TestHistogram:
         for v in (0, 1, 2):
             h.add(v)
         assert h.estimate_count(1, 1) == pytest.approx(1)
-
-
-class TestTableStatistics:
-    @pytest.fixture
-    def setup(self):
-        schema = Schema(
-            [Attribute(f"a{i}", IntegerRangeDomain(0, 63)) for i in range(3)]
-        )
-        rng = random.Random(4)
-        rel = Relation(
-            schema,
-            [tuple(rng.randrange(64) for _ in range(3)) for _ in range(2000)],
-        )
-        disk = SimulatedDisk(block_size=512)
-        f = AVQFile.build(rel, disk)
-        stats = TableStatistics.collect(schema, f.iter_blocks())
-        return rel, f, stats
-
-    def test_counts(self, setup):
-        rel, f, stats = setup
-        assert stats.num_tuples == 2000
-        assert stats.num_blocks == f.num_blocks
-        assert stats.histogram("a1").total == 2000
-
-    def test_estimates_track_reality(self, setup):
-        rel, f, stats = setup
-        actual = sum(1 for t in rel if 10 <= t[1] <= 30)
-        estimate = stats.estimate_matching_tuples("a1", 10, 30)
-        assert estimate == pytest.approx(actual, rel=0.25)
-
-    def test_scattered_estimate_close_to_measured_n(self, setup):
-        rel, f, stats = setup
-        from repro.index.secondary import SecondaryIndex
-
-        idx = SecondaryIndex.build("a1", 1, f.iter_blocks())
-        measured = len(idx.range_lookup(10, 30))
-        estimated = stats.estimate_blocks_scattered("a1", 10, 30)
-        assert estimated == pytest.approx(measured, rel=0.3)
-
-    def test_clustered_estimate_is_a_fraction(self, setup):
-        rel, f, stats = setup
-        est = stats.estimate_blocks_clustered("a0", 0, 15)
-        assert 0 < est < stats.num_blocks
-        assert est == pytest.approx(stats.num_blocks * 0.25 + 1, rel=0.3)
-
-    def test_unknown_attribute_rejected(self, setup):
-        _, _, stats = setup
-        with pytest.raises(QueryError):
-            stats.histogram("zz")

@@ -94,8 +94,11 @@ class TableModel(RuleBasedStateMachine):
         assert stored == Counter({t: n for t, n in self.model.items() if n})
 
     @invariant()
-    def primary_index_tracks_blocks(self):
-        assert self.table.primary_index.num_blocks == self.table.num_blocks
+    def directory_tracks_blocks(self):
+        table = self.table
+        entries = table.storage.directory_entries()
+        assert len(entries) == table.num_blocks
+        assert all(a[2] <= b[1] for a, b in zip(entries, entries[1:]))
 
 
 TestTableStateful = TableModel.TestCase

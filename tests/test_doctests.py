@@ -21,7 +21,6 @@ MODULES_WITH_DOCTESTS = [
     "repro.relational.schema",
     "repro.relational.encoding",
     "repro.perf.costmodel",
-    "repro.db.stats",
 ]
 
 

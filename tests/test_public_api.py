@@ -45,8 +45,8 @@ EXPECTED_EXPORTS = {
     ],
     "repro.db": [
         "Catalog", "Database", "Table", "RangeQuery", "QueryResult",
-        "AccessPlan", "QueryPlanner", "AttributeHistogram",
-        "TableStatistics", "aggregate", "AggregateResult", "JoinResult",
+        "AccessPlan", "AttributeHistogram",
+        "aggregate", "AggregateResult", "JoinResult",
         "index_nested_loop_join", "block_nested_loop_join",
         "Transaction",
     ],
