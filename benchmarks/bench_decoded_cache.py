@@ -1,7 +1,7 @@
 """Benchmark: cold point lookups and the snapshot ordinal cache.
 
 The cold run probes 200 tuples on a freshly built table: each lookup
-reads its one block and walks its difference stream with early exit.
+reads the one block the directory's covering rule names and filters it.
 
 Snapshot selects (every served select) read through the table's ordinal
 cache.  On a table shaped like the repository benchmark's point-hot

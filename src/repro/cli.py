@@ -145,6 +145,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.db.planner import plan
+
     with AVQFileReader(args.input) as reader:
         schema = reader.schema
         domain = schema.attribute(args.attr).domain
@@ -156,79 +158,36 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 f"{lo_raw!r}..{hi_raw!r} is inverted under the domain order"
             )
         pos = schema.position(args.attr)
-
-        if pos == 0:
-            from repro.db.query import leading_ordinal_range
-
-            # Clustering attribute: only the overlapping ordinal range.
-            candidates = reader.blocks_overlapping(
-                *leading_ordinal_range(schema.mapper, lo, hi)
-            )
-        else:
-            candidates = list(range(reader.num_blocks))
-
-        from collections import OrderedDict
+        candidates = plan(
+            [(pos, lo, hi)], schema.mapper, reader.block_directory
+        ).block_ids
 
         # Stage timing runs through repro.obs — the sanctioned clock
-        # (R008) — so the same numbers the CLI prints also land in the
-        # registry/tracer whenever the global --metrics flag is up.
-        counts = {"hits": 0, "misses": 0, "evictions": 0}
-        cache: "OrderedDict[int, list]" = OrderedDict()
-        stage_ms = {"decode": 0.0, "total": 0.0}
-
-        def read_cached(position: int) -> list:
-            block = cache.get(position) if args.decoded_cache > 0 else None
-            if block is not None:
-                cache.move_to_end(position)
-                counts["hits"] += 1
-                return block
-            t0 = _obs.now_ms()
-            block = reader.read_block(position)
-            stage_ms["decode"] += _obs.now_ms() - t0
-            if args.decoded_cache > 0:
-                counts["misses"] += 1
-                cache[position] = block
-                if len(cache) > args.decoded_cache:
-                    cache.popitem(last=False)
-                    counts["evictions"] += 1
-            return block
-
+        # (R008) — so the numbers also land in the registry/tracer
+        # whenever the global --metrics flag is up.
+        decode_ms = 0.0
         matches = 0
-        repeats = max(1, args.repeat)
+        t_start = _obs.now_ms()
         with _obs.span(
-            "cli.query",
-            attr=args.attr,
-            candidates=len(candidates),
-            repeats=repeats,
+            "cli.query", attr=args.attr, candidates=len(candidates)
         ):
-            for repeat in range(repeats):
-                matches = 0
+            for position in candidates:
                 t0 = _obs.now_ms()
-                for position in candidates:
-                    for t in read_cached(position):
-                        if lo <= t[pos] <= hi:
-                            matches += 1
-                            if repeat == 0 and matches <= args.limit:
-                                print(schema.decode_tuple(t))
-                stage_ms["total"] += _obs.now_ms() - t0
+                block = reader.read_block(position)
+                decode_ms += _obs.now_ms() - t0
+                for t in block:
+                    if lo <= t[pos] <= hi:
+                        matches += 1
+                        if matches <= args.limit:
+                            print(schema.decode_tuple(t))
         reg = _obs.REGISTRY
         if reg is not None:
             reg.inc("cli.query.matches", matches)
             reg.inc("cli.query.candidate_blocks", len(candidates))
-            reg.observe("cli.query.decode_ms", stage_ms["decode"])
-            reg.observe("cli.query.total_ms", stage_ms["total"])
+            reg.observe("cli.query.decode_ms", decode_ms)
+            reg.observe("cli.query.total_ms", _obs.now_ms() - t_start)
         print(f"-- {matches} matching rows; decoded {len(candidates)} of "
               f"{reader.num_blocks} blocks (N = {len(candidates)})")
-        if args.repeat > 1 or args.decoded_cache > 0:
-            lookups = counts["hits"] + counts["misses"]
-            hit_rate = counts["hits"] / lookups if lookups else 0.0
-            print(f"-- decoded cache: {counts['hits']} hits, "
-                  f"{counts['misses']} misses, "
-                  f"{counts['evictions']} evictions "
-                  f"(hit rate {hit_rate:.1%})")
-            print(f"-- stages: decode {stage_ms['decode']:.2f} ms "
-                  f"within total {stage_ms['total']:.2f} ms "
-                  f"over {repeats} run(s)")
     return 0
 
 
@@ -632,12 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LO", "HI"))
     p.add_argument("--limit", type=int, default=20,
                    help="rows to print (count is always exact)")
-    p.add_argument("--decoded-cache", type=int, default=0, metavar="BLOCKS",
-                   help="LRU-cache up to this many decoded blocks "
-                        "(0 disables; see docs/PERFORMANCE.md)")
-    p.add_argument("--repeat", type=int, default=1,
-                   help="run the query this many times (with --decoded-cache "
-                        "the repeats hit the cache; counters are printed)")
     p.set_defaults(func=_cmd_query)
     return parser
 

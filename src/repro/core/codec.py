@@ -423,67 +423,6 @@ class BlockCodec:
             reg.observe("codec.decode_ms", _obs.now_ms() - t0)
         return ordinals
 
-    def probe_block(self, data: bytes, target: int) -> bool:
-        """Test whether a tuple with phi ordinal ``target`` is in the block.
-
-        Walks the difference stream arithmetically — no per-tuple
-        ``phi_inverse`` reconstruction — and exits as soon as the running
-        ordinal passes the target.  This is the cheap point-probe path
-        behind ``Table.contains``.
-        """
-        reader = StreamReader(data)
-        u = reader.read_uint(2)
-        if u == 0:
-            raise CodecError("corrupt block: zero tuple count")
-        rep = reader.read_uint(2)
-        if rep >= u:
-            raise CodecError(f"corrupt block: representative {rep} >= count {u}")
-        m = self._layout.tuple_bytes
-        rep_ordinal = self._mapper.phi(
-            self._layout.tuple_from_bytes(reader.read(m))
-        )
-        if target == rep_ordinal:
-            return True
-
-        def read_diff() -> int:
-            count = reader.read_uint(1)
-            if count > m:
-                raise CodecError(
-                    f"corrupt block: run length {count} > tuple width {m}"
-                )
-            tail = reader.read(m - count)
-            return self._mapper.phi_unchecked(
-                rle_decode(self._layout, count, tail)
-            )
-
-        before = [read_diff() for _ in range(rep)]
-        if target < rep_ordinal:
-            if self._chained:
-                # o_j = rep_ordinal - sum(d_j .. d_{rep-1}); walk upward
-                ordinal = rep_ordinal - sum(before)
-                if ordinal == target:
-                    return True
-                for d in before:
-                    ordinal += d
-                    if ordinal >= target:
-                        return ordinal == target
-                return False
-            return any(rep_ordinal - d == target for d in before)
-
-        # target > rep_ordinal: walk the after side, early exit
-        ordinal = rep_ordinal
-        for _ in range(u - 1 - rep):
-            d = read_diff()
-            if self._chained:
-                ordinal += d
-            else:
-                ordinal = rep_ordinal + d
-            if ordinal == target:
-                return True
-            if self._chained and ordinal > target:
-                return False
-        return False
-
     def _reconstruct_ordinals(
         self, u: int, rep: int, rep_ordinal: int, diffs: List[int]
     ) -> List[int]:

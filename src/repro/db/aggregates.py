@@ -30,7 +30,7 @@ from repro.db.query import RangeQuery
 from repro.db.table import Table
 from repro.errors import QueryError
 from repro.relational.domain import IntegerRangeDomain
-from repro.storage.mvcc import DirectoryEntry
+from repro.storage.directory import DirectoryEntry
 
 __all__ = ["AggregateResult", "aggregate"]
 
@@ -88,7 +88,7 @@ def aggregate(
     if all(b[0] == 0 for b in bound) and (
         function == "count" or (function in ("min", "max") and position == 0)
     ):
-        entries = {entry[0]: entry for entry in directory.entries}
+        entries = {entry[0]: entry for entry in directory}
     w0 = schema.mapper.weights[0]
     count = 0
     values: List[int] = []

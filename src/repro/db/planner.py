@@ -2,9 +2,8 @@
 
 Every read that picks blocks — :meth:`Table.select`,
 :meth:`TableSnapshot.select`, :func:`~repro.db.aggregates.aggregate`,
-the index join's probe, point probes and :meth:`Table.explain` — asks
-:func:`plan` (or :func:`covering_entry` for one ordinal).  The rules,
-in order:
+the index join's probe, ``repro query`` and :meth:`Table.explain` —
+asks :func:`plan`.  The rules, in order:
 
 1. a predicate on the *leading* attribute takes the clustered cut of
    the block directory ("primary"): the relation is phi-clustered, so
@@ -16,13 +15,12 @@ in order:
 3. otherwise every block ("scan").
 
 The directory is whatever the caller reads: the live file's, a
-snapshot's frozen one, or a heap table's.  Its entries are
-``(block_id, first, last, count)`` in phi order, and ``last[i] <=
-first[i + 1]`` — equal when a run of one tuple straddles the boundary.
-The cut reads every block whose ``[first, last]`` overlaps the range,
-which includes such a straddling block: the exact cover Figure 5.8
-counts.  A snapshot passes no value indexes, because they track the
-live state.
+snapshot's frozen one, a heap table's or a container header's.  The cut
+is :meth:`~repro.storage.directory.BlockDirectory.cover`: every block
+whose ``[first, last]`` overlaps the range, including one that ends
+where a run of one tuple straddles into the next — the exact cover
+Figure 5.8 counts.  A snapshot passes no value indexes, because they
+track the live state.
 
 :func:`explain` lists every applicable path with its exact ``N`` and
 its Equation 5.7 price ``C = I + N (t1 + t_cpu)``.
@@ -30,7 +28,6 @@ its Equation 5.7 price ``C = I + N (t1 + t_cpu)``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Union
 
@@ -38,32 +35,17 @@ from repro.core.phi import OrdinalMapper
 from repro.db.query import BoundPredicate, RangeQuery, leading_ordinal_range
 from repro.index.hashindex import ExtendibleHashIndex
 from repro.index.secondary import SecondaryIndex
-from repro.storage.mvcc import DirectoryEntry
+from repro.storage.directory import BlockDirectory
 
 __all__ = [
     "AccessPlan",
-    "BlockDirectory",
     "Explain",
     "ValueIndex",
-    "covering_entry",
     "explain",
     "plan",
 ]
 
 ValueIndex = Union[ExtendibleHashIndex, SecondaryIndex]
-
-
-class BlockDirectory(NamedTuple):
-    """The block directory a read plans over, with its first-ordinal key."""
-
-    entries: Sequence[DirectoryEntry]
-    #: ``entries``' first ordinals, ascending: what the cut bisects.
-    firsts: Sequence[int]
-
-    @classmethod
-    def of(cls, entries: Sequence[DirectoryEntry]) -> "BlockDirectory":
-        """A directory over ``entries``, keying their first ordinals."""
-        return cls(entries, [entry[1] for entry in entries])
 
 
 class AccessPlan(NamedTuple):
@@ -96,41 +78,12 @@ def plan(
     return _scan(directory)
 
 
-def covering_entry(
-    directory: BlockDirectory, ordinal: int
-) -> Optional[DirectoryEntry]:
-    """The one entry a stored ``ordinal`` can be in, or ``None``.
-
-    The first entry whose range reaches ``ordinal``: when a run of that
-    ordinal straddles blocks, this block ends with it.
-    """
-    index = _first_overlapping(directory, ordinal)
-    entries = directory.entries
-    if index < len(entries) and entries[index][1] <= ordinal:
-        return entries[index]
-    return None
-
-
-def _first_overlapping(directory: BlockDirectory, ordinal: int) -> int:
-    """Index of the first entry whose ``last >= ordinal``.
-
-    Every entry before the last one starting below ``ordinal`` ends at
-    or below that one's first ordinal, so it ends below ``ordinal``.
-    """
-    index = max(bisect_left(directory.firsts, ordinal) - 1, 0)
-    entries = directory.entries
-    if index < len(entries) and entries[index][2] < ordinal:
-        index += 1
-    return index
-
-
 def _primary(
     mapper: OrdinalMapper, directory: BlockDirectory, leading: BoundPredicate
 ) -> AccessPlan:
     lo, hi = leading_ordinal_range(mapper, leading[1], leading[2])
-    start = _first_overlapping(directory, lo)
-    stop = bisect_right(directory.firsts, hi)
-    block_ids = [entry[0] for entry in directory.entries[start:stop]]
+    cover = directory.cover(lo, hi)
+    block_ids = list(directory.ids[cover.start : cover.stop])
     return AccessPlan("primary", block_ids, leading)
 
 
@@ -162,7 +115,7 @@ def _index_plans(
 
 
 def _scan(directory: BlockDirectory) -> AccessPlan:
-    return AccessPlan("scan", [entry[0] for entry in directory.entries], None)
+    return AccessPlan("scan", list(directory.ids), None)
 
 
 @dataclass(frozen=True)
@@ -216,7 +169,7 @@ def explain(
     plans += _index_plans(bound, indexes)
     plans.append(_scan(directory))
     t_cpu = HP_9000_735.t2_ms if compressed else HP_9000_735.t3_ms
-    index_s = index_search_time_s(len(directory.entries))
+    index_s = index_search_time_s(len(directory))
 
     def cost_ms(p: AccessPlan) -> float:
         i_s = 0.0 if p.path == "scan" else index_s

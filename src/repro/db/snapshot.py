@@ -10,11 +10,10 @@ property the serving layer's reader threads rely on (docs/SERVING.md).
 
 Snapshots plan with the table's one planner (:mod:`repro.db.planner`)
 but deliberately do **not** hand it the table's live value indices;
-those track the *current* state.  The planner cuts the frozen
-directory instead: it bisects the ``(first, last)`` phi-ordinal ranges
-(the store keys each epoch's first ordinals once), exactly as a live
-select cuts the live directory, and a point probe finds its one
-covering block the same way.
+those track the *current* state.  The planner cuts the epoch's frozen
+:class:`~repro.storage.directory.BlockDirectory` instead (the store
+freezes it once per publish), exactly as a live select cuts the live
+one, and a point probe finds its one covering block the same way.
 
 On an MVCC-enabled vector-codec table every snapshot, every reader
 thread and the table's own live selects share the table's one
@@ -35,15 +34,16 @@ A snapshot pins superseded block versions, so it must be closed;
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.vectorized import VectorizedBlockCodec
-from repro.db.planner import BlockDirectory, plan
+from repro.db.planner import plan
 from repro.db.query import BoundPredicate, QueryResult, RangeQuery
 from repro.errors import QueryError
 from repro.obs import runtime as _obs
+from repro.storage.directory import BlockDirectory
 from repro.storage.mvcc import BlockVersionStore, SnapshotHandle
 
 __all__ = ["OrdinalCache", "TableSnapshot"]
@@ -80,7 +80,7 @@ class TableSnapshot:
     @property
     def num_tuples(self) -> int:
         """Tuples stored as of the snapshot (from the frozen directory)."""
-        return sum(entry[3] for entry in self._handle.directory)
+        return sum(self._handle.directory.counts)
 
     @property
     def closed(self) -> bool:
@@ -197,7 +197,7 @@ class TableSnapshot:
             raise QueryError("snapshot is closed")
 
     def _directory(self) -> BlockDirectory:
-        return BlockDirectory(self._handle.directory, self._handle.firsts)
+        return self._handle.directory
 
     def _read_payload(self, block_id: int) -> bytes:
         return self._store.read(
@@ -287,9 +287,9 @@ class OrdinalCache:
         tally = self._tally()
         return tally[0], tally[1]
 
-    def retain(self, directory: Iterable[Tuple[int, int, int, int]]) -> None:
+    def retain(self, directory: BlockDirectory) -> None:
         """Drop entries whose block id left ``directory`` (a publish)."""
-        live = {entry[0] for entry in directory}
+        live = set(directory.ids)
         with self._lock:
             for block_id in [b for b in self._entries if b not in live]:
                 del self._entries[block_id]

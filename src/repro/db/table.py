@@ -37,14 +37,7 @@ from repro.errors import (
     QueryCancelled,
     QueryError,
 )
-from repro.db.planner import (
-    BlockDirectory,
-    Explain,
-    ValueIndex,
-    covering_entry,
-    explain,
-    plan,
-)
+from repro.db.planner import Explain, ValueIndex, explain, plan
 from repro.db.query import (
     BoundPredicate,
     QueryResult,
@@ -66,6 +59,7 @@ from repro.index.secondary import SecondaryIndex
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.storage.avqfile import AVQFile
+from repro.storage.directory import BlockDirectory
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heapfile import HeapFile
 from repro.storage.integrity import (
@@ -138,7 +132,7 @@ class Table:
             from repro.storage.buffer import BufferPool
 
             self._buffer = BufferPool(storage._disk, buffer_capacity)
-        self._heap_directory = BlockDirectory((), ())
+        self._heap_directory = BlockDirectory()
         self._secondaries: Dict[str, SecondaryIndex] = {}
         self._hash_indices: Dict[str, ExtendibleHashIndex] = {}
         self._tuple_index: Optional[TupleOrdinalIndex] = None
@@ -389,9 +383,9 @@ class Table:
         return [*self._hash_indices.values(), *self._secondaries.values()]
 
     def _directory(self) -> BlockDirectory:
-        """The block directory live reads plan over."""
+        """The block directory live reads plan over (not a copy)."""
         if isinstance(self._storage, AVQFile):
-            return BlockDirectory.of(self._storage.directory_entries())
+            return self._storage.block_directory
         return self._heap_directory
 
     @property
@@ -551,7 +545,7 @@ class Table:
         if self._mvcc is None:
             from repro.storage.mvcc import BlockVersionStore
 
-            self._mvcc = BlockVersionStore(storage.directory_entries())
+            self._mvcc = BlockVersionStore(storage.block_directory)
             vec = self._array_codec()
             if vec is not None:
                 self._ordinals = OrdinalCache(vec)
@@ -621,10 +615,10 @@ class Table:
     def _mvcc_publish(self) -> None:
         """Seal the current epoch at a commit boundary."""
         if self._mvcc is not None and isinstance(self._storage, AVQFile):
-            entries = self._storage.directory_entries()
-            self._mvcc.publish(entries)
+            directory = self._storage.block_directory
+            self._mvcc.publish(directory)
             if self._ordinals is not None:
-                self._ordinals.retain(entries)
+                self._ordinals.retain(directory)
 
     def _read_blocks(
         self,
@@ -1024,10 +1018,11 @@ class Table:
     def _delete_impl(
         self, storage: AVQFile, t: Tuple[int, ...], ordinal: int
     ) -> bool:
-        if storage.num_blocks == 0:
+        pos = storage.block_directory.covering(ordinal)
+        if pos is None:
+            # Outside every block's range: AVQFile.delete would find
+            # nothing there either, so check, stash and read nothing.
             return False
-
-        pos = storage.block_of_ordinal(ordinal)
         old_id = storage.block_ids[pos]
         if self._integrity is not None:
             self._integrity.check(old_id)
@@ -1083,12 +1078,12 @@ class Table:
         """
         t = tuple(int(v) for v in values)
         self._schema.mapper.validate(t)
-        entry = covering_entry(directory, self._schema.mapper.phi(t))
-        if entry is None:
+        position = directory.covering(self._schema.mapper.phi(t))
+        if position is None:
             return False
         bound = [(pos, v, v) for pos, v in enumerate(t)]
         scan = self._read_blocks(
-            [entry[0]], source, bound, bound[0], repair=repair,
+            [directory.ids[position]], source, bound, bound[0], repair=repair,
             allow_skip=False,
         )
         return bool(scan.rows)

@@ -7,9 +7,13 @@ block to that block; locating a tuple is a floor search: the covering
 block is the one whose first tuple is the largest not exceeding the
 target.
 
-Because the coded relation is phi-clustered, this one index answers both
+Because the coded relation is phi-clustered, these keys answer both
 point probes and range queries over the *leading* attribute prefix; every
-other attribute needs the secondary index of Figure 4.5.
+other attribute needs the secondary index of Figure 4.5.  Tables plan
+over :class:`~repro.storage.directory.BlockDirectory`, which holds the
+same keys plus each block's last ordinal, so a range that starts at a
+run of one tuple straddling a block boundary also reads the block that
+ends with it.
 
 :class:`TupleOrdinalIndex` is the finer-grained sibling the integrity
 layer leans on: one entry per *distinct stored tuple* (with
@@ -48,12 +52,7 @@ class PrimaryIndex:
         *,
         order: int = 32,
     ) -> "PrimaryIndex":
-        """Build from ``(first_ordinal, block_id)`` pairs.
-
-        Both :class:`~repro.storage.avqfile.AVQFile` and sorted
-        :class:`~repro.storage.heapfile.HeapFile` provide such pairs via
-        their ``directory()`` methods.
-        """
+        """Build from ``(first_ordinal, block_id)`` pairs."""
         idx = cls(mapper, order=order)
         for first_ordinal, block_id in directory:
             idx.add_block(first_ordinal, block_id)
@@ -94,30 +93,6 @@ class PrimaryIndex:
     def locate(self, values: Sequence[int]) -> Optional[int]:
         """Disk id of the block that can contain this tuple (Figure 4.4)."""
         return self.locate_ordinal(self._mapper.phi(values))
-
-    def range_blocks(self, lo: int, hi: int) -> List[int]:
-        """Disk ids of all blocks whose ordinal range may intersect [lo, hi].
-
-        The cover is the floor block of ``lo`` plus every block whose first
-        ordinal lies in ``(lo, hi]`` — exactly the contiguous run a
-        clustered range scan reads.
-        """
-        if lo > hi:
-            return []
-        out: List[int] = []
-        floor = self._tree.floor_item(lo)
-        if floor is not None:
-            out.append(floor[1])
-            start = floor[0]
-        else:
-            start = None
-        for key, block_id in self._tree.range_items(
-            lo if start is None else start, hi
-        ):
-            if start is not None and key == start:
-                continue  # floor block already included
-            out.append(block_id)
-        return out
 
     # ------------------------------------------------------------------
     # Introspection

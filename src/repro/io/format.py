@@ -51,6 +51,7 @@ from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.storage.block import DEFAULT_BLOCK_SIZE
+from repro.storage.directory import BlockDirectory
 from repro.storage.packer import pack_runs
 
 __all__ = ["write_avq_file", "AVQFileReader", "read_avq_file"]
@@ -292,6 +293,21 @@ class AVQFileReader:
         entry = self._entry(position)
         return entry.tuple_count, entry.first_ordinal
 
+    @property
+    def block_directory(self) -> BlockDirectory:
+        """The header's directory, keyed by block position.
+
+        The header records no last ordinal, so each block's is bounded
+        by the next block's first (and the last block's by the top of
+        the ordinal space): its cover holds every block a range can
+        touch, and at most one more.
+        """
+        return BlockDirectory.of_firsts(
+            [entry.first_ordinal for entry in self._entries],
+            [entry.tuple_count for entry in self._entries],
+            self._schema.mapper.space_size - 1,
+        )
+
     def block_crc(self, position: int) -> Optional[int]:
         """Recorded CRC32 of a block's payload (``None`` pre-checksum)."""
         return self._entry(position).crc32
@@ -404,23 +420,6 @@ class AVQFileReader:
         """All tuples decoded back to application values."""
         for t in self.scan():
             yield self._schema.decode_tuple(t)
-
-    def blocks_overlapping(self, lo: int, hi: int) -> List[int]:
-        """Block positions whose ordinal range may intersect [lo, hi]."""
-        if lo > hi or not self._entries:
-            return []
-        out = []
-        for pos, entry in enumerate(self._entries):
-            next_first = (
-                self._entries[pos + 1].first_ordinal
-                if pos + 1 < len(self._entries)
-                else None
-            )
-            if entry.first_ordinal > hi:
-                break
-            if next_first is None or next_first > lo:
-                out.append(pos)
-        return out
 
     def _entry(self, position: int) -> _BlockEntry:
         if not 0 <= position < len(self._entries):

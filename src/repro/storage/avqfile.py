@@ -3,9 +3,10 @@
 The coded counterpart of :class:`~repro.storage.heapfile.HeapFile`.  A
 relation is phi-sorted, greedily packed (Section 3.3), block-coded
 (Section 3.4) and written to a simulated disk.  The file keeps a small
-in-memory directory of each block's first and last ordinal — the same
-information the primary index of Figure 4.4 holds — so that point and
-range lookups touch only the blocks that can contain matches.
+in-memory :class:`~repro.storage.directory.BlockDirectory` of each
+block's first and last ordinal — the same information the primary index
+of Figure 4.4 holds — so that point and range lookups touch only the
+blocks that can contain matches.
 
 Tuple insertion and deletion follow Section 4.2: locate the block, decode
 it, apply the change, re-encode.  Changes are confined to the affected
@@ -23,6 +24,7 @@ from repro.core.codec import BlockCodec
 from repro.errors import BlockOverflowError, CorruptionError, RepairError, StorageError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.storage.directory import BlockDirectory
 from repro.storage.disk import SimulatedDisk
 from repro.storage.packer import pack_runs
 
@@ -48,6 +50,11 @@ class AVQFile:
         self._block_min: List[int] = []   # first ordinal in each block
         self._block_max: List[int] = []   # last ordinal in each block
         self._block_count: List[int] = []
+        #: The four lists above, as the directory every read plans over.
+        self._directory = BlockDirectory(
+            self._block_ids, self._block_min, self._block_max,
+            self._block_count,
+        )
         #: CRC32 of each block's payload as last written, keyed by the
         #: stable disk id (positions shift; ids do not).  ``None`` for a
         #: block adopted from a pre-checksum directory — a scrub
@@ -136,7 +143,6 @@ class AVQFile:
         unknown checksums, which a scrub backfills.
         """
         f = cls(schema, disk, codec=codec)
-        prev_max: Optional[int] = None
         for entry in directory:
             if len(entry) not in (4, 5):
                 raise StorageError(
@@ -147,23 +153,13 @@ class AVQFile:
                 entry[0], entry[1], entry[2], entry[3]
             )
             crc = entry[4] if len(entry) == 5 else None
-            if count < 1 or last < first:
-                raise StorageError(
-                    f"attach: impossible directory entry for block "
-                    f"{block_id} ([{first}, {last}], {count} tuples)"
-                )
-            if prev_max is not None and first <= prev_max:
-                raise StorageError(
-                    f"attach: block {block_id} min {first} does not "
-                    f"follow previous block max {prev_max}"
-                )
-            prev_max = last
             f._block_ids.append(block_id)
             f._block_min.append(first)
             f._block_max.append(last)
             f._block_count.append(count)
             f._crc_by_id[block_id] = None if crc is None else int(crc)
             f._num_tuples += count
+        f._directory.check("attach")
         return f
 
     def _pack_runs(self, ordinals: Sequence[int]) -> List[Sequence[int]]:
@@ -325,24 +321,14 @@ class AVQFile:
         for position in range(self.num_blocks):
             yield self._block_ids[position], self.read_block(position)
 
-    def directory(self) -> List[Tuple[int, int]]:
-        """``(first_ordinal, block_id)`` per block — primary-index feed."""
-        return list(zip(self._block_min, self._block_ids))
+    @property
+    def block_directory(self) -> BlockDirectory:
+        """The live directory: every read and mutation asks its rules.
 
-    def directory_entries(self) -> List[Tuple[int, int, int, int]]:
-        """``(block_id, first, last, count)`` per block, in phi order.
-
-        The full physical directory — what a clean-shutdown WAL record
-        stores so :meth:`attach` can re-adopt the blocks without I/O.
+        Its columns are this file's own lists, so it changes with every
+        mutation; :meth:`BlockDirectory.frozen` takes a stable copy.
         """
-        return list(
-            zip(
-                self._block_ids,
-                self._block_min,
-                self._block_max,
-                self._block_count,
-            )
-        )
+        return self._directory
 
     def directory_entries_checked(
         self,
@@ -356,14 +342,7 @@ class AVQFile:
         through the WAL's CLEAN record.
         """
         return [
-            (
-                block_id,
-                self._block_min[i],
-                self._block_max[i],
-                self._block_count[i],
-                self._crc_by_id[block_id],
-            )
-            for i, block_id in enumerate(self._block_ids)
+            (*entry, self._crc_by_id[entry[0]]) for entry in self._directory
         ]
 
     def block_crc(self, position: int) -> Optional[int]:
@@ -396,69 +375,13 @@ class AVQFile:
         return out
 
     def block_of_ordinal(self, ordinal: int) -> Optional[int]:
-        """Directory lookup: position of the block covering ``ordinal``.
+        """Position of the block an insert of ``ordinal`` goes to.
 
-        Returns the unique block whose [min, max] range the ordinal falls
-        into, or the block it *would* belong to if inserted (the block with
-        the greatest min <= ordinal, else block 0).  ``None`` for an empty
-        file.
+        :meth:`BlockDirectory.placement`; ``None`` for an empty file.
         """
         if not self._block_ids:
             return None
-        pos = bisect.bisect_right(self._block_min, ordinal) - 1
-        if pos < 0:
-            # Ordinal sorts below the first block's minimum; without this
-            # guard the raw bisect result (-1) would silently index the
-            # *last* block.  Such an ordinal belongs in block 0.
-            return 0
-        return pos
-
-    def covering_block_of_ordinal(self, ordinal: int) -> Optional[int]:
-        """Position of the block whose [min, max] range holds ``ordinal``.
-
-        Unlike :meth:`block_of_ordinal` (which answers "where would this
-        ordinal go?"), this answers "where could it already *be*?" —
-        ``None`` when the ordinal falls outside every block's range, so
-        point probes and deletes can skip the disk read entirely.
-        """
-        if not self._block_ids:
-            return None
-        pos = bisect.bisect_right(self._block_min, ordinal) - 1
-        if pos < 0:
-            return None
-        if ordinal > self._block_max[pos]:
-            return None
-        return pos
-
-    def contains_ordinal(self, ordinal: int) -> bool:
-        """Point probe: whether a tuple with this phi ordinal is stored.
-
-        Reads one block and walks its difference stream with early exit
-        (:meth:`~repro.core.codec.BlockCodec.probe_block`) — no full
-        block reconstruction.  Ordinals outside every block's range are
-        answered from the in-memory directory with no I/O at all.
-        """
-        pos = self.covering_block_of_ordinal(ordinal)
-        if pos is None:
-            return False
-        payload = self.read_payload(pos)
-        probe = getattr(self._codec, "probe_block", None)
-        if probe is not None:
-            return probe(payload, ordinal)
-        return ordinal in self._codec.decode_ordinals(payload)
-
-    def blocks_overlapping(self, lo: int, hi: int) -> List[int]:
-        """Positions of blocks whose ordinal range intersects [lo, hi]."""
-        if lo > hi or not self._block_ids:
-            return []
-        start = self.block_of_ordinal(lo)
-        out = []
-        for pos in range(start, self.num_blocks):
-            if self._block_min[pos] > hi:
-                break
-            if self._block_max[pos] >= lo:
-                out.append(pos)
-        return out
+        return self._directory.placement(ordinal)
 
     # ------------------------------------------------------------------
     # Mutation (Section 4.2)
@@ -511,7 +434,7 @@ class AVQFile:
     def delete(self, values: Sequence[int]) -> bool:
         """Delete one occurrence of a tuple; returns whether it was found."""
         ordinal = self._schema.mapper.phi(values)
-        pos = self.covering_block_of_ordinal(ordinal)
+        pos = self._directory.covering(ordinal)
         if pos is None:
             # Outside every block's range: the directory alone proves the
             # tuple is absent, so don't pay a block read to find out.
@@ -594,14 +517,14 @@ class AVQFile:
         """Check the in-memory directory against the blocks on disk.
 
         Re-reads every block and confirms the cached min/max/count match
-        the decoded contents, that block ranges are disjoint and sorted,
-        and that the tuple total adds up — raising
+        the decoded contents, that the blocks are in phi order
+        (:meth:`BlockDirectory.check`), and that the tuple total adds
+        up — raising
         :class:`~repro.errors.StorageError` on the first inconsistency.
         Mutation tests run this after split-heavy workloads to prove the
         Section 4.2 bookkeeping never drifts.
         """
         total = 0
-        prev_max: Optional[int] = None
         for position in range(self.num_blocks):
             ordinals = self.read_block_ordinals(position)
             if not ordinals:
@@ -621,13 +544,8 @@ class AVQFile:
                     f"block {position} holds {len(ordinals)} tuples, "
                     f"directory says {self._block_count[position]}"
                 )
-            if prev_max is not None and ordinals[0] <= prev_max:
-                raise StorageError(
-                    f"block {position} min {ordinals[0]} does not follow "
-                    f"previous block max {prev_max}"
-                )
-            prev_max = ordinals[-1]
             total += len(ordinals)
+        self._directory.check("verify_directory")
         if total != self._num_tuples:
             raise StorageError(
                 f"blocks hold {total} tuples, file claims {self._num_tuples}"
@@ -664,10 +582,11 @@ class AVQFile:
         old_blocks = self.num_blocks
 
         partition = pack_ordinals(self._codec, ordinals, self._disk.block_size)
-        self._block_ids = []
-        self._block_min = []
-        self._block_max = []
-        self._block_count = []
+        for column in (
+            self._block_ids, self._block_min, self._block_max,
+            self._block_count,
+        ):
+            column.clear()
         self._crc_by_id = {}
         self._num_tuples = 0
         for run in partition.blocks:

@@ -12,7 +12,7 @@ the coded relation's decode time ``t2``, and measured separately here.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.core.runlength import TupleLayout
 from repro.errors import StorageError
@@ -160,39 +160,6 @@ class HeapFile:
         """Yield ``(block_id, tuples)`` for every block, in storage order."""
         for position in range(self.num_blocks):
             yield self._block_ids[position], self.read_block(position)
-
-    def directory(self) -> List[Tuple[int, int]]:
-        """``(first_ordinal, block_id)`` per block — primary-index feed.
-
-        Only meaningful for sorted heap files.
-        """
-        if not self._sort:
-            raise StorageError("directory() requires a sorted heap file")
-        mapper = self._schema.mapper
-        out = []
-        for block_id, tuples in self.iter_blocks():
-            out.append((mapper.phi(tuples[0]), block_id))
-        return out
-
-    def block_of_ordinal(self, ordinal: int) -> Optional[int]:
-        """Position of the block that would hold a tuple with this phi value.
-
-        Valid only for sorted heap files (binary search over block minima).
-        """
-        if not self._sort:
-            raise StorageError("block_of_ordinal requires a sorted heap file")
-        if not self._block_ids:
-            return None
-        lo, hi = 0, self.num_blocks - 1
-        mapper = self._schema.mapper
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            first = self.read_block(mid)[0]
-            if mapper.phi(first) <= ordinal:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
     def _block_id_at(self, position: int) -> int:
         try:

@@ -46,16 +46,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import CorruptionError, StorageError
 from repro.obs import runtime as _obs
+from repro.storage.directory import BlockDirectory
 
 __all__ = ["BlockVersionStore", "SnapshotHandle", "VersionStoreStats"]
-
-#: One directory entry: ``(block_id, first_ordinal, last_ordinal, count)``
-#: — the shape :meth:`AVQFile.directory_entries` produces.
-DirectoryEntry = Tuple[int, int, int, int]
 
 
 @dataclass
@@ -89,32 +86,23 @@ class SnapshotHandle:
 
     Obtained from :meth:`BlockVersionStore.snapshot`; must be passed back
     to :meth:`BlockVersionStore.release` (the db layer's
-    ``TableSnapshot`` wraps that in a context manager).  ``firsts`` is
-    the directory's first-ordinal column, ascending because blocks are
-    phi-clustered — the key a reader bisects to plan without scanning
-    the directory.  It is computed once per epoch, not per snapshot.
+    ``TableSnapshot`` wraps that in a context manager).  ``directory``
+    is frozen once per epoch and shared by every snapshot of it; a
+    reader bisects its first ordinals to plan.
     """
 
     csn: int
-    directory: Tuple[DirectoryEntry, ...]
-    firsts: Tuple[int, ...]
-
-
-def _first_ordinals(
-    directory: Tuple[DirectoryEntry, ...],
-) -> Tuple[int, ...]:
-    return tuple(entry[1] for entry in directory)
+    directory: BlockDirectory
 
 
 class BlockVersionStore:
     """Latched store of superseded block payloads, keyed by block id."""
 
-    def __init__(self, directory: List[DirectoryEntry]):
+    def __init__(self, directory: BlockDirectory):
         self._lock = threading.RLock()
         self._csn = 0
         self._versions: Dict[int, List[_Version]] = {}
-        self._committed: Tuple[DirectoryEntry, ...] = tuple(directory)
-        self._firsts = _first_ordinals(self._committed)
+        self._committed = directory.frozen()
         #: csn -> number of unreleased snapshots pinned at it.
         self._pinned: Dict[int, int] = {}
         self.stats = VersionStoreStats()
@@ -129,7 +117,7 @@ class BlockVersionStore:
         with self._lock:
             return self._csn
 
-    def committed_directory(self) -> Tuple[DirectoryEntry, ...]:
+    def committed_directory(self) -> BlockDirectory:
         """The directory as of the last publish."""
         with self._lock:
             return self._committed
@@ -154,7 +142,7 @@ class BlockVersionStore:
                 reg.inc("mvcc.stashed")
             return True
 
-    def publish(self, directory: List[DirectoryEntry]) -> int:
+    def publish(self, directory: BlockDirectory) -> int:
         """Commit boundary: seal open versions and adopt ``directory``.
 
         Advances the csn only when something actually changed (an open
@@ -163,19 +151,18 @@ class BlockVersionStore:
         csn current after the call.
         """
         with self._lock:
-            entries = tuple(directory)
+            frozen = directory.frozen()
             open_versions = [
                 chain[-1]
                 for chain in self._versions.values()
                 if chain and chain[-1].death_csn is None
             ]
-            if not open_versions and entries == self._committed:
+            if not open_versions and frozen == self._committed:
                 return self._csn
             self._csn += 1
             for version in open_versions:
                 version.death_csn = self._csn
-            self._committed = entries
-            self._firsts = _first_ordinals(entries)
+            self._committed = frozen
             self.stats.published += 1
             reg = _obs.REGISTRY
             if reg is not None:
@@ -197,9 +184,7 @@ class BlockVersionStore:
             if reg is not None:
                 reg.inc("mvcc.snapshots")
                 reg.set_gauge("mvcc.pinned", float(self.pinned_snapshots))
-            return SnapshotHandle(
-                csn=self._csn, directory=self._committed, firsts=self._firsts
-            )
+            return SnapshotHandle(csn=self._csn, directory=self._committed)
 
     def release(self, handle: SnapshotHandle) -> None:
         """Unpin a snapshot; versions nobody can see any more are pruned."""

@@ -1,82 +1,14 @@
-"""Tests for the early-exit point probe (probe_block / contains)."""
+"""Tests for the point probe (``Table.contains``)."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.codec import BlockCodec
 from repro.relational.domain import IntegerRangeDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.storage.avqfile import AVQFile
 from repro.storage.disk import SimulatedDisk
-
-DOMAINS = [8, 16, 64, 64, 64]
-
-
-@pytest.fixture
-def codec():
-    return BlockCodec(DOMAINS)
-
-
-def random_ordinals(codec, n, seed=0):
-    rng = random.Random(seed)
-    return sorted(rng.randrange(codec.mapper.space_size) for _ in range(n))
-
-
-class TestProbeBlock:
-    @pytest.mark.parametrize("chained", [True, False])
-    def test_probe_agrees_with_full_decode(self, chained):
-        codec = BlockCodec(DOMAINS, chained=chained)
-        ordinals = random_ordinals(codec, 50, seed=1)
-        tuples = [codec.mapper.phi_inverse(o) for o in ordinals]
-        data = codec.encode_block(tuples)
-        present = set(ordinals)
-        rng = random.Random(2)
-        probes = ordinals + [
-            rng.randrange(codec.mapper.space_size) for _ in range(200)
-        ]
-        for target in probes:
-            assert codec.probe_block(data, target) == (target in present)
-
-    def test_probe_boundaries(self, codec):
-        ordinals = random_ordinals(codec, 9, seed=3)
-        tuples = [codec.mapper.phi_inverse(o) for o in ordinals]
-        data = codec.encode_block(tuples)
-        assert codec.probe_block(data, ordinals[0])
-        assert codec.probe_block(data, ordinals[-1])
-        assert codec.probe_block(data, ordinals[4])  # the representative
-        assert not codec.probe_block(data, 0) or 0 in ordinals
-        top = codec.mapper.space_size - 1
-        assert codec.probe_block(data, top) == (top in ordinals)
-
-    def test_probe_single_tuple_block(self, codec):
-        data = codec.encode_block([(1, 2, 3, 4, 5)])
-        target = codec.mapper.phi((1, 2, 3, 4, 5))
-        assert codec.probe_block(data, target)
-        assert not codec.probe_block(data, target + 1)
-
-    def test_probe_duplicates(self, codec):
-        block = [(1, 2, 3, 4, 5)] * 3 + [(2, 2, 2, 2, 2)]
-        data = codec.encode_block(block)
-        assert codec.probe_block(data, codec.mapper.phi((1, 2, 3, 4, 5)))
-        assert codec.probe_block(data, codec.mapper.phi((2, 2, 2, 2, 2)))
-
-
-@given(st.integers(0, 10**6), st.integers(2, 40))
-@settings(max_examples=100, deadline=None)
-def test_property_probe_equals_membership(seed, n):
-    codec = BlockCodec([4, 8, 16])
-    rng = random.Random(seed)
-    ordinals = sorted(rng.randrange(codec.mapper.space_size) for _ in range(n))
-    tuples = [codec.mapper.phi_inverse(o) for o in ordinals]
-    data = codec.encode_block(tuples)
-    present = set(ordinals)
-    for target in range(codec.mapper.space_size):
-        if rng.random() < 0.1:  # sample the space
-            assert codec.probe_block(data, target) == (target in present)
 
 
 class TestTableContains:
@@ -127,10 +59,16 @@ class TestTableContains:
         assert not table.contains((0, 0, 0, 0, 0))
 
     def test_avqfile_contains_out_of_block_range(self, setup):
+        from repro.db.table import Table
+
         schema, rel = setup
         disk = SimulatedDisk(block_size=256)
         f = AVQFile.build(rel, disk)
-        # an ordinal below the first block's range
+        table = Table("t", schema, f)
+        # an ordinal below the first block's range costs no read
         first_min = f.block_range(0)[0]
         if first_min > 0:
-            assert not f.contains_ordinal(first_min - 1)
+            disk.stats.reset()
+            below = schema.mapper.phi_inverse(first_min - 1)
+            assert not table.contains(below)
+            assert disk.stats.blocks_read == 0

@@ -115,7 +115,7 @@ class TestCompaction:
         self.churn(table, schema, seed=11)
         table.compact()
         # the directory stays phi-clustered, one entry per block
-        entries = table.storage.directory_entries()
+        entries = list(table.storage.block_directory)
         assert len(entries) == table.num_blocks
         assert all(a[2] <= b[1] for a, b in zip(entries, entries[1:]))
         live = list(table.storage.scan())

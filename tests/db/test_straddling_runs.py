@@ -4,7 +4,8 @@ A run of one tuple longer than a block holds, or one that a split cuts,
 leaves ``last[i] == first[i + 1]``; a split of a block made only of that
 tuple leaves two blocks with the same first ordinal.  Every read must
 still find every copy: the live select, the snapshot select, point
-probes and aggregates, against a brute-force oracle.
+probes, aggregates and ``repro query``, against a brute-force oracle;
+and such a directory must survive a clean reopen and crash recovery.
 """
 
 import random
@@ -12,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+from repro.cli import main
 from repro.core.codec import BlockCodec
 from repro.db.aggregates import aggregate
 from repro.db.query import RangeQuery
@@ -20,6 +22,7 @@ from repro.io.format import AVQFileReader, write_avq_file
 from repro.relational.domain import IntegerRangeDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
+from repro.storage.avqfile import AVQFile
 from repro.storage.disk import SimulatedDisk
 
 SIZES = (16, 16, 16)
@@ -66,7 +69,7 @@ def oracle(rows, query):
 
 
 def straddles(table):
-    entries = table._directory().entries
+    entries = list(table._directory())
     return [a[0] for a, b in zip(entries, entries[1:]) if a[2] == b[1]]
 
 
@@ -74,7 +77,7 @@ def assert_directory_matches_blocks(table):
     """Each entry's first, last and count are its block's; the entries
     are phi-clustered, sharing an ordinal only at a boundary."""
     storage = table.storage
-    entries = storage.directory_entries()
+    entries = list(storage.block_directory)
     for position, (_, first, last, count) in enumerate(entries):
         ordinals = storage.read_block_ordinals(position)
         assert (ordinals[0], ordinals[-1], len(ordinals)) == (
@@ -128,7 +131,7 @@ class TestInsertedRuns:
         for i in range(300):
             table.insert(HEAVY)
             rows.append(HEAVY)
-            firsts = [e[1] for e in table.storage.directory_entries()]
+            firsts = list(table.storage.block_directory.firsts)
             if firsts.count(heavy) > 1:
                 break
         assert firsts.count(heavy) > 1
@@ -200,16 +203,55 @@ class TestProbeParity:
         assert stats.blocks_read == before + 1
 
 
+class TestDurableDirectory:
+    """A directory whose run straddles a boundary is a valid one: a
+    clean reopen adopts it and recovery rebuilds a verifiable file."""
+
+    def durable(self, tmp_path):
+        disk = SimulatedDisk(block_size=128)
+        wal = str(tmp_path / "t.wal")
+        table = Table.from_relation(
+            "t", Relation(SCHEMA, [HEAVY] * 300), disk, durable_path=wal
+        )
+        assert straddles(table)
+        return disk, wal, table
+
+    def test_clean_close_reopens(self, tmp_path):
+        disk, wal, table = self.durable(tmp_path)
+        table.close()
+        reopened = Table.open("t", disk, wal)
+        assert reopened.last_recovery.clean
+        reopened.storage.verify_directory()
+        assert reopened.storage.block_directory == (
+            table.storage.block_directory
+        )
+        assert aggregate(reopened, "count", None, QUERIES[0]).value == 300
+
+    def test_crash_recovery_rebuilds_a_verifiable_file(self, tmp_path):
+        disk, wal, table = self.durable(tmp_path)
+        table.insert(HEAVY)
+        reopened = Table.open("t", disk, wal)  # no close: a crash
+        assert reopened.last_recovery.blocks_rebuilt > 1
+        reopened.storage.verify_directory()
+        assert reopened.select(QUERIES[0]).tuples == [HEAVY] * 301
+        rebuilt = AVQFile.from_ordinals(
+            SCHEMA,
+            SimulatedDisk(block_size=128),
+            [SCHEMA.mapper.phi(HEAVY)] * 300,
+        )
+        rebuilt.verify_directory()
+
+
+def straddling_container(tmp_path):
+    rows = random_rows() + [HEAVY] * 150
+    path = str(tmp_path / "t.avq")
+    write_avq_file(path, Relation(SCHEMA, rows), block_size=128)
+    return rows, path
+
+
 class TestContainerReader:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="AVQFileReader.blocks_overlapping starts at the floor "
-        "block of lo, so it drops a block that ends with lo",
-    )
-    def test_blocks_overlapping_reads_a_straddling_block(self, tmp_path):
-        rows = random_rows() + [HEAVY] * 150
-        path = str(tmp_path / "t.avq")
-        write_avq_file(path, Relation(SCHEMA, rows), block_size=128)
+    def test_reader_cover_contains_the_exact_cover(self, tmp_path):
+        _, path = straddling_container(tmp_path)
         w0 = SCHEMA.mapper.weights[0]
         lo, hi = 5 * w0, 6 * w0 - 1
         with AVQFileReader(path) as reader:
@@ -224,4 +266,14 @@ class TestContainerReader:
                 p for p, (first, last) in enumerate(ranges)
                 if first <= hi and last >= lo
             ]
-            assert reader.blocks_overlapping(lo, hi) == exact
+            cover = list(reader.block_directory.cover(lo, hi))
+            assert set(exact) <= set(cover)
+            assert cover[0] >= exact[0] - 1
+
+    def test_query_counts_every_copy(self, tmp_path, capsys):
+        rows, path = straddling_container(tmp_path)
+        expected = len(oracle(rows, QUERIES[0]))
+        assert expected == 160
+        argv = ["query", path, "--attr", "a0", "--between", "5", "5"]
+        assert main(argv) == 0
+        assert f"-- {expected} matching rows" in capsys.readouterr().out

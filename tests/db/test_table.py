@@ -177,7 +177,7 @@ class TestMutations:
             assert any(
                 t in table.storage.read_block_id(b) for b in blocks
             )
-        entries = table.storage.directory_entries()
+        entries = list(table.storage.block_directory)
         assert len(entries) == table.num_blocks
         assert all(a[2] <= b[1] for a, b in zip(entries, entries[1:]))
 
@@ -203,7 +203,7 @@ class TestMutations:
             assert table.delete(t)
         assert table.num_tuples == 0
         assert table.num_blocks == 0
-        assert table.storage.directory_entries() == []
+        assert list(table.storage.block_directory) == []
         assert table.select(RangeQuery([])).cardinality == 0
 
     def test_update_is_delete_plus_insert(self, schema):

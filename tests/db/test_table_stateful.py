@@ -96,7 +96,7 @@ class TableModel(RuleBasedStateMachine):
     @invariant()
     def directory_tracks_blocks(self):
         table = self.table
-        entries = table.storage.directory_entries()
+        entries = list(table.storage.block_directory)
         assert len(entries) == table.num_blocks
         assert all(a[2] <= b[1] for a, b in zip(entries, entries[1:]))
 

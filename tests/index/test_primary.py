@@ -40,22 +40,6 @@ class TestDirectoryProbes:
         assert idx.locate((3, 8, 36, 39, 35)) == 1
         assert idx.locate((0, 0, 0, 0, 1)) == 0
 
-    def test_range_blocks_cover(self, mapper):
-        idx = PrimaryIndex.build(
-            mapper, [(0, 0), (1000, 1), (2000, 2), (3000, 3)]
-        )
-        assert idx.range_blocks(500, 2500) == [0, 1, 2]
-        assert idx.range_blocks(1000, 1000) == [1]
-        assert idx.range_blocks(999, 1000) == [0, 1]
-        assert idx.range_blocks(5000, 9000) == [3]
-        assert idx.range_blocks(10, 5) == []
-
-    def test_range_blocks_below_everything(self, mapper):
-        idx = PrimaryIndex.build(mapper, [(1000, 1), (2000, 2)])
-        # nothing at or below the range: only blocks starting inside it
-        assert idx.range_blocks(0, 500) == []
-        assert idx.range_blocks(0, 1500) == [1]
-
 
 class TestMaintenance:
     def test_add_remove_move(self, mapper):
@@ -97,7 +81,10 @@ class TestAgainstAVQFile:
         )
         disk = SimulatedDisk(block_size=256)
         f = AVQFile.build(rel, disk)
-        idx = PrimaryIndex.build(schema.mapper, f.directory())
+        idx = PrimaryIndex.build(
+            schema.mapper,
+            [(first, block_id) for block_id, first, _, _ in f.block_directory],
+        )
         assert idx.num_blocks == f.num_blocks
         for t in rel.sorted_by_phi()[::29]:
             block_id = idx.locate(t)

@@ -117,7 +117,7 @@ class TestLazyAccess:
         mapper = relation.schema.mapper
         lo, hi = 2000, 9000
         with AVQFileReader(path) as reader:
-            cover = set(reader.blocks_overlapping(lo, hi))
+            cover = set(reader.block_directory.cover(lo, hi))
             for pos in range(reader.num_blocks):
                 has_match = any(
                     lo <= mapper.phi(t) <= hi for t in reader.read_block(pos)

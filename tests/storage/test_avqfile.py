@@ -82,7 +82,7 @@ class TestLookup:
     def test_blocks_overlapping_finds_exact_cover(self, schema):
         _, _, f = build(schema, 600, seed=4)
         lo, hi = 10**6, 5 * 10**6
-        cover = f.blocks_overlapping(lo, hi)
+        cover = list(f.block_directory.cover(lo, hi))
         # every block in the cover intersects the range...
         for pos in cover:
             bmin, bmax = f.block_range(pos)
@@ -95,7 +95,7 @@ class TestLookup:
 
     def test_blocks_overlapping_empty_range(self, schema):
         _, _, f = build(schema, 100, seed=5)
-        assert f.blocks_overlapping(5, 4) == []
+        assert list(f.block_directory.cover(5, 4)) == []
 
     def test_read_block_charges_io(self, schema):
         _, disk, f = build(schema, 100, seed=6)
@@ -220,12 +220,12 @@ class TestDirectoryProbe:
         _, f = self.build_windowed(schema)
         below = schema.mapper.phi((0, 0, 0, 0, 0))
         above = schema.mapper.phi((63, 63, 63, 63, 63))
-        assert f.covering_block_of_ordinal(below) is None
-        assert f.covering_block_of_ordinal(above) is None
+        assert f.block_directory.covering(below) is None
+        assert f.block_directory.covering(above) is None
         # in-gap ordinals between blocks may or may not be covered, but
         # every stored ordinal must be
         for t in [(20, 0, 0, 0, 0), (40, 29, 29, 29, 29)]:
-            pos = f.covering_block_of_ordinal(schema.mapper.phi(t))
+            pos = f.block_directory.covering(schema.mapper.phi(t))
             assert pos is not None
             lo, hi = f.block_range(pos)
             assert lo <= schema.mapper.phi(t) <= hi
@@ -233,15 +233,16 @@ class TestDirectoryProbe:
     def test_covering_block_empty_file(self, schema):
         disk = SimulatedDisk(block_size=256)
         f = AVQFile.build(Relation(schema), disk)
-        assert f.covering_block_of_ordinal(0) is None
+        assert f.block_directory.covering(0) is None
 
     def test_contains_out_of_range_reads_nothing(self, schema):
+        from repro.db.table import Table
+
         disk, f = self.build_windowed(schema)
+        table = Table("t", schema, f)
         disk.stats.reset()
-        assert not f.contains_ordinal(schema.mapper.phi((0, 0, 0, 0, 0)))
-        assert not f.contains_ordinal(
-            schema.mapper.phi((63, 63, 63, 63, 63))
-        )
+        assert not table.contains((0, 0, 0, 0, 0))
+        assert not table.contains((63, 63, 63, 63, 63))
         assert disk.stats.blocks_read == 0
 
     def test_delete_out_of_range_reads_nothing(self, schema):
@@ -257,10 +258,25 @@ class TestDirectoryProbe:
         assert disk.stats.blocks_written == 0
         assert f.num_tuples == before
 
+    def test_table_delete_out_of_range_reads_nothing(self, schema):
+        """The table picks its block with the file's covering rule, so
+        it neither integrity-checks, stashes nor reads a block that
+        ``AVQFile.delete`` would not touch."""
+        from repro.db.table import Table
+
+        disk, f = self.build_windowed(schema)
+        table = Table("t", schema, f)
+        store = table.enable_mvcc()
+        disk.stats.reset()
+        assert not table.delete((0, 0, 0, 0, 0))
+        assert not table.delete((63, 63, 63, 63, 63))
+        assert disk.stats.blocks_read == 0
+        assert store.stats.stashed == 0
+
     def test_delete_in_range_still_works(self, schema):
         disk, f = self.build_windowed(schema)
         assert f.delete((20, 5, 5, 5, 5))
-        assert not f.contains_ordinal(schema.mapper.phi((20, 5, 5, 5, 5)))
+        assert schema.mapper.phi((20, 5, 5, 5, 5)) not in f.all_ordinals()
 
 
 class TestVerifyDirectory:
@@ -279,7 +295,7 @@ class TestVerifyDirectory:
 
     def test_corrupted_directory_detected(self, schema):
         _, _, f = build(schema, 200, seed=19)
-        f._block_min[0] -= 1  # simulate a stale directory entry
+        f.block_directory.firsts[0] -= 1  # a stale directory entry
         with pytest.raises(StorageError):
             f.verify_directory()
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.codec import BlockCodec
 from repro.core.golomb import GolombBlockCodec
+from repro.db.table import Table
 from repro.relational.domain import IntegerRangeDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
@@ -58,13 +59,14 @@ class TestGolombStorageEngine:
         schema, rel = setup
         disk = SimulatedDisk(block_size=512)
         f = AVQFile.build(rel, disk, codec=GolombBlockCodec(schema.domain_sizes))
+        table = Table("t", schema, f)
         mapper = schema.mapper
-        assert f.contains_ordinal(mapper.phi(rel[0]))
+        assert table.contains(rel[0])
         present = set(rel.phi_ordinals())
         missing = next(
             o for o in range(mapper.space_size) if o not in present
         )
-        assert not f.contains_ordinal(missing)
+        assert not table.contains(mapper.phi_inverse(missing))
 
     def test_compaction(self, setup):
         schema, rel = setup

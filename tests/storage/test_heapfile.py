@@ -94,17 +94,25 @@ class TestHeapFileAccess:
             hf.extract((999).to_bytes(2, "big") + bytes(10))
 
     def test_block_of_ordinal_finds_covering_block(self, schema):
+        """A heap table keys the file's directory once; its covering
+        rule finds the block holding a stored tuple."""
+        from repro.db.table import Table
+
         rel = random_relation(schema, 500, seed=6)
         disk = SimulatedDisk(block_size=256)
         hf = HeapFile.build(rel, disk)
         mapper = schema.mapper
         target = rel.sorted_by_phi()[250]
-        pos = hf.block_of_ordinal(mapper.phi(target))
+        directory = Table("t", schema, hf)._directory()
+        pos = directory.covering(mapper.phi(target))
         assert target in hf.read_block(pos)
 
     def test_block_of_ordinal_requires_sorted(self, schema):
+        from repro.db.table import Table
+        from repro.errors import QueryError
+
         rel = random_relation(schema, 50, seed=7)
         disk = SimulatedDisk(block_size=256)
         hf = HeapFile.build(rel, disk, sort=False)
-        with pytest.raises(StorageError):
-            hf.block_of_ordinal(0)
+        with pytest.raises(QueryError):
+            Table("t", schema, hf)

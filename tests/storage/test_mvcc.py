@@ -3,21 +3,22 @@
 import pytest
 
 from repro.errors import CorruptionError, StorageError
+from repro.storage.directory import BlockDirectory
 from repro.storage.mvcc import BlockVersionStore
 
-DIR_A = [(0, 0, 9, 4), (1, 10, 19, 4)]
-DIR_B = [(0, 0, 9, 4), (2, 10, 24, 6)]
+DIR_A = BlockDirectory.of([(0, 0, 9, 4), (1, 10, 19, 4)])
+DIR_B = BlockDirectory.of([(0, 0, 9, 4), (2, 10, 24, 6)])
 
 
 def make_store(directory=None):
-    return BlockVersionStore(list(directory or DIR_A))
+    return BlockVersionStore(directory or DIR_A)
 
 
 class TestWriterSide:
     def test_initial_state(self):
         store = make_store()
         assert store.csn == 0
-        assert store.committed_directory() == tuple(DIR_A)
+        assert store.committed_directory() == DIR_A
         assert store.version_count == 0
 
     def test_stash_keeps_first_preimage_per_epoch(self):
@@ -34,6 +35,8 @@ class TestWriterSide:
     def test_publish_advances_csn_only_on_change(self):
         store = make_store()
         assert store.publish(DIR_A) == 0  # nothing changed
+        live = BlockDirectory([0, 1], [0, 10], [9, 19], [4, 4])
+        assert store.publish(live) == 0  # a file's list columns, same entries
         assert store.publish(DIR_B) == 1  # directory changed
         store.stash(0, lambda: b"old")
         assert store.publish(DIR_B) == 2  # open version sealed
@@ -119,10 +122,11 @@ class TestReaderSide:
     def test_handles_share_the_epochs_first_ordinals(self):
         store = make_store()
         s0 = store.snapshot()
-        assert s0.firsts == (0, 10)
-        assert store.snapshot().firsts is s0.firsts  # keyed once per epoch
-        store.publish(DIR_B + [(3, 25, 30, 2)])
-        assert store.snapshot().firsts == (0, 10, 25)
+        assert s0.directory.firsts == (0, 10)
+        # frozen once per epoch, shared by every snapshot of it
+        assert store.snapshot().directory is s0.directory
+        store.publish(BlockDirectory.of([*DIR_B, (3, 25, 30, 2)]))
+        assert store.snapshot().directory.firsts == (0, 10, 25)
 
     def test_old_snapshot_sees_old_chain(self):
         store = make_store()

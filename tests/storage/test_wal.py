@@ -323,7 +323,7 @@ class TestRecover:
 
     def test_clean_attach_does_zero_io(self, tmp_path):
         schema, disk, storage, wal = self._populated(tmp_path)
-        wal.write_clean(storage.directory_entries())
+        wal.write_clean(list(storage.block_directory))
         wal.close()
         reads = disk.stats.blocks_read
         writes = disk.stats.blocks_written
@@ -384,7 +384,7 @@ class TestAVQFileRecoveryHooks:
         schema = make_schema()
         disk = SimulatedDisk(256)
         storage = AVQFile.from_ordinals(schema, disk, [1, 2, 3])
-        entries = storage.directory_entries()
+        entries = list(storage.block_directory)
         attached = AVQFile.attach(schema, disk, entries)
         assert sorted(attached.all_ordinals()) == [1, 2, 3]
         with pytest.raises(StorageError):

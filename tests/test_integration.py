@@ -99,7 +99,7 @@ class TestFullPipeline:
             survivors[row[4]] = row
         rows, _ = db.select_values("emp", "empno", 0, 10**6)
         assert {r[4]: r for r in rows} == survivors
-        entries = table.storage.directory_entries()
+        entries = list(table.storage.block_directory)
         assert len(entries) == table.num_blocks
         assert all(a[2] <= b[1] for a, b in zip(entries, entries[1:]))
 

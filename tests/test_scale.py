@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.db.table import Table
 from repro.relational.domain import IntegerRangeDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
@@ -69,16 +70,17 @@ class TestScale:
     def test_point_probes_at_scale(self, big_relation):
         disk = SimulatedDisk(block_size=8192)
         f = AVQFile.build(big_relation, disk)
+        table = Table("big", big_relation.schema, f)
         mapper = big_relation.schema.mapper
         members = list(big_relation)[:20]
         for t in members:
-            assert f.contains_ordinal(mapper.phi(t))
+            assert table.contains(t)
         rng = random.Random(1)
         present = set(big_relation.phi_ordinals())
         misses = 0
         for _ in range(50):
             o = rng.randrange(mapper.space_size)
             if o not in present:
-                assert not f.contains_ordinal(o)
+                assert not table.contains(mapper.phi_inverse(o))
                 misses += 1
         assert misses > 0
