@@ -137,8 +137,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
             print(f"  {attr.name:20s} |domain| = {attr.domain.size}")
         if args.blocks:
             print("block directory:")
-            for pos in range(reader.num_blocks):
-                count, first = reader.block_info(pos)
+            for pos, first, _, count in reader.block_directory:
                 print(f"  block {pos:4d}: {count:5d} tuples, "
                       f"first ordinal {first}")
     return 0

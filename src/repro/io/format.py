@@ -44,14 +44,14 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.codec import BlockCodec
-from repro.core.phi import phi_inverse_array
+from repro.core.phi import OrdinalMapper, phi_inverse_array
 from repro.errors import CorruptionError, QuarantinedBlockError, StorageError
 from repro.io.schema_json import schema_from_dict, schema_to_dict
 from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.storage.block import DEFAULT_BLOCK_SIZE
-from repro.storage.directory import BlockDirectory
+from repro.storage.directory import BlockDirectory, DecodedRun
 from repro.storage.packer import pack_runs
 
 __all__ = ["write_avq_file", "AVQFileReader", "read_avq_file"]
@@ -251,6 +251,11 @@ class AVQFileReader:
                 f"{self._path}: malformed block directory"
             ) from exc
         self._data_end = offset
+        self._directory = BlockDirectory.of_firsts(
+            [entry.first_ordinal for entry in self._entries],
+            [entry.tuple_count for entry in self._entries],
+            self._schema.mapper.space_size - 1,
+        )
 
         size = os.path.getsize(self._path)
         if size < self._data_end:
@@ -288,11 +293,6 @@ class AVQFileReader:
         """The logical block size used at write time."""
         return self._block_size
 
-    def block_info(self, position: int) -> Tuple[int, int]:
-        """(tuple_count, first_ordinal) of a block without decoding it."""
-        entry = self._entry(position)
-        return entry.tuple_count, entry.first_ordinal
-
     @property
     def block_directory(self) -> BlockDirectory:
         """The header's directory, keyed by block position.
@@ -302,11 +302,7 @@ class AVQFileReader:
         the ordinal space): its cover holds every block a range can
         touch, and at most one more.
         """
-        return BlockDirectory.of_firsts(
-            [entry.first_ordinal for entry in self._entries],
-            [entry.tuple_count for entry in self._entries],
-            self._schema.mapper.space_size - 1,
-        )
+        return self._directory
 
     def block_crc(self, position: int) -> Optional[int]:
         """Recorded CRC32 of a block's payload (``None`` pre-checksum)."""
@@ -396,16 +392,15 @@ class AVQFileReader:
     def read_block(self, position: int) -> List[Tuple[int, ...]]:
         """Decode one block to ordinal tuples (localized, per the paper)."""
         tuples = self._codec.decode_block(self.read_payload(position))
-        self._check_count(position, len(tuples))
+        self._check_decoded(position, _PhiView(tuples, self._schema.mapper))
         return tuples
 
-    def _check_count(self, position: int, decoded: int) -> None:
-        """Raise unless a block decoded to its directory's tuple count."""
-        count = self._entry(position).tuple_count
-        if decoded != count:
+    def _check_decoded(self, position: int, ordinals: DecodedRun) -> None:
+        """Raise unless a block decoded to the one its entry records."""
+        reason = self._directory.disagreement(position, ordinals)
+        if reason is not None:
             raise CorruptionError(
-                f"block {position} decoded to {decoded} tuples, "
-                f"directory says {count}",
+                f"block {position} {reason}",
                 path=self._path,
                 position=position,
                 detected_by="directory",
@@ -444,14 +439,29 @@ class AVQFileReader:
         self.close()
 
 
+class _PhiView:
+    """Decoded tuples as their phi ordinals, each mapped on access."""
+
+    def __init__(
+        self, tuples: Sequence[Tuple[int, ...]], mapper: OrdinalMapper
+    ) -> None:
+        self._tuples, self._mapper = tuples, mapper
+
+    def __len__(self) -> int:
+        return len(self._tuples)
+
+    def __getitem__(self, index: int) -> int:
+        return self._mapper.phi(self._tuples[index])
+
+
 def read_avq_file(path: str) -> Relation:
     """Decompress a whole container back into an in-memory relation.
 
     A vector-codec container is read column-wise: each block's
-    verified payload decodes to an int64 ordinal array, which must hold
-    the directory's tuple count, and one ``phi_inverse_array`` over the
-    concatenation gives the relation's array.  Other containers decode
-    tuple by tuple.
+    verified payload decodes to an int64 ordinal array, checked against
+    its header entry like a block read, and one ``phi_inverse_array``
+    over the concatenation gives the relation's array.  Other
+    containers decode tuple by tuple.
     """
     with AVQFileReader(path) as reader:
         vec = reader.codec.vector_codec
@@ -474,7 +484,7 @@ def read_avq_file(path: str) -> Relation:
                     reg.inc("codec.ordinal_decodes")
                     reg.inc("codec.vector_decodes")
                     reg.observe("codec.decode_ms", _obs.now_ms() - t0)
-                reader._check_count(position, len(ordinals))
+                reader._check_decoded(position, ordinals)
                 blocks.append(ordinals)
             everything = (
                 np.concatenate(blocks) if blocks else np.empty(0, np.int64)

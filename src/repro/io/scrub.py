@@ -5,7 +5,8 @@ the simulated disk; this module is its counterpart for real container
 files — the engine behind ``repro scrub`` and ``repro fsck``:
 
 * :func:`scrub_container` — verify every block (checksum, decode,
-  directory agreement) without modifying the file.
+  :meth:`~repro.storage.directory.BlockDirectory.disagreement` with
+  its header entry) without modifying the file.
 * :func:`fsck_container` — scrub, then optionally *repair* damaged
   blocks from a write-ahead log's committed image and *backfill*
   checksums onto legacy CRC-less directory entries.  Unrepairable
@@ -15,9 +16,9 @@ files — the engine behind ``repro scrub`` and ``repro fsck``:
 * :func:`backfill_checksums` — the standalone legacy-container upgrade.
 
 Repair is held to the same standard as the on-line engine
-(:class:`~repro.storage.integrity.RepairEngine`): a reconstructed
-payload is accepted only when it is the same length as the stored one
-and its CRC32 matches the directory's recorded checksum — byte
+(:class:`~repro.storage.integrity.RepairEngine`): a block's share of
+the log's image is accepted only when it re-encodes to the stored
+length and its CRC32 matches the directory's recorded checksum — byte
 identity, proven, or no repair.  Blocks written before checksums
 existed therefore cannot be repaired (there is nothing to prove
 identity against); they can only be quarantined, or blessed via
@@ -32,9 +33,8 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CodecError, StorageError
 from repro.io.format import AVQFileReader
@@ -125,24 +125,14 @@ def _check_block(
             position, "crc32", "payload fails its recorded checksum"
         )
     try:
-        tuples = reader.codec.decode_block(payload)
+        ordinals = reader.codec.decode_ordinals(payload)
     except CodecError as exc:
         return ContainerFinding(
             position, "decode", f"payload is undecodable: {exc}"
         )
-    count, first = reader.block_info(position)
-    if len(tuples) != count:
-        return ContainerFinding(
-            position,
-            "directory",
-            f"decoded to {len(tuples)} tuples, directory says {count}",
-        )
-    if tuples and reader.codec.mapper.phi(tuples[0]) != first:
-        return ContainerFinding(
-            position,
-            "directory",
-            "first tuple does not match the directory's first ordinal",
-        )
+    reason = reader.block_directory.disagreement(position, ordinals)
+    if reason is not None:
+        return ContainerFinding(position, "directory", reason)
     return None
 
 
@@ -192,46 +182,28 @@ def _rewrite_container(
     os.replace(tmp_path, path)
 
 
-def _wal_image(wal_path: str) -> List[int]:
-    """The committed ordinal image of a write-ahead log, ascending."""
-    # Imported lazily: repro.storage.wal itself imports repro.io
-    # modules, so a top-level import here would be a cycle.
-    from repro.storage.wal import read_log, replay_records
-
-    _, records, _, _ = read_log(wal_path)
-    return list(replay_records(records).ordinals)
-
-
 def _repair_from_wal(
     reader: AVQFileReader,
     position: int,
-    image: List[int],
+    image: Sequence[int],
 ) -> Optional[bytes]:
     """Reconstruct one block from the WAL image; CRC-proven or ``None``.
 
-    The block's ordinal range is ``[first, next_first)`` from the
-    directory; the committed image's slice over that range must have
-    exactly the directory's tuple count, re-encode deterministically to
-    the stored length, and hash to the *recorded* CRC32 — the same
-    byte-identity gate as the on-line repair engine.
+    The candidate is the block's share of the committed image
+    (:meth:`BlockDirectory.share`, counted from block 0 because the
+    header records no last ordinals); it must be the block the header
+    entry records, re-encode deterministically to the stored length,
+    and hash to the *recorded* CRC32 — the same byte-identity gate as
+    the on-line repair engine.
     """
     crc = reader.block_crc(position)
     if crc is None:
         return None  # nothing to prove byte-identity against
-    count, first = reader.block_info(position)
-    lo = bisect_left(image, first)
-    if position + 1 < reader.num_blocks:
-        _, next_first = reader.block_info(position + 1)
-        hi = bisect_left(image, next_first)
-    else:
-        hi = len(image)
-    ordinals = image[lo:hi]
-    if len(ordinals) != count:
+    directory = reader.block_directory
+    ordinals = directory.share(position, image)
+    if directory.disagreement(position, ordinals) is not None:
         return None  # the log has diverged from this container
-    mapper = reader.codec.mapper
-    payload = reader.codec.encode_block(
-        [mapper.phi_inverse(o) for o in ordinals]
-    )
+    payload = reader.codec.encode_ordinals(ordinals)
     stored_length = len(reader.raw_payload(position))
     if len(payload) != stored_length or zlib.crc32(payload) != crc:
         return None
@@ -262,7 +234,11 @@ def fsck_container(
 
     image: List[int] = []
     if repair and report.findings and wal_path is not None:
-        image = _wal_image(wal_path)
+        # Imported lazily: repro.storage.wal itself imports repro.io
+        # modules, so a top-level import here would be a cycle.
+        from repro.storage.wal import committed_ordinals
+
+        image = committed_ordinals(wal_path)
 
     with AVQFileReader(path) as reader:
         header = reader.header_dict()

@@ -236,11 +236,6 @@ class AVQFile:
         self._check_position(position)
         return self._block_min[position], self._block_max[position]
 
-    def block_tuple_count(self, position: int) -> int:
-        """Number of tuples in the ``position``-th block."""
-        self._check_position(position)
-        return self._block_count[position]
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -478,26 +473,20 @@ class AVQFile:
     ) -> None:
         """Overwrite one block with a repaired payload, then verify it.
 
-        The repair contract (docs/INTEGRITY.md): ``ordinals`` must match
-        the directory's recorded range and count for the block — repair
-        reconstructs what *was* there, never something new — and the
-        written bytes are read back and compared before the block is
-        considered healthy.  Any failure raises
+        The repair contract (docs/INTEGRITY.md): ``ordinals`` must be
+        the block its directory entry records — repair reconstructs
+        what *was* there, never something new — and the written bytes
+        are read back and compared before the block is considered
+        healthy.  Any failure raises
         :class:`~repro.errors.RepairError` and the block stays suspect.
         """
         self._check_position(position)
         block_id = self._block_ids[position]
-        if (
-            not ordinals
-            or ordinals[0] != self._block_min[position]
-            or ordinals[-1] != self._block_max[position]
-            or len(ordinals) != self._block_count[position]
-        ):
+        reason = self._directory.disagreement(position, ordinals)
+        if reason is not None:
             raise RepairError(
                 f"restored tuple set contradicts the directory for "
-                f"block {position} (expected [{self._block_min[position]}, "
-                f"{self._block_max[position]}], "
-                f"{self._block_count[position]} tuples)",
+                f"block {position}: {reason}",
                 block_id=block_id,
                 position=position,
                 detected_by="directory",
@@ -516,10 +505,10 @@ class AVQFile:
     def verify_directory(self) -> None:
         """Check the in-memory directory against the blocks on disk.
 
-        Re-reads every block and confirms the cached min/max/count match
-        the decoded contents, that the blocks are in phi order
-        (:meth:`BlockDirectory.check`), and that the tuple total adds
-        up — raising
+        Re-reads every block and confirms it is the one its entry
+        records (:meth:`BlockDirectory.disagreement`), that the blocks
+        are in phi order (:meth:`BlockDirectory.check`), and that the
+        tuple total adds up — raising
         :class:`~repro.errors.StorageError` on the first inconsistency.
         Mutation tests run this after split-heavy workloads to prove the
         Section 4.2 bookkeeping never drifts.
@@ -527,23 +516,9 @@ class AVQFile:
         total = 0
         for position in range(self.num_blocks):
             ordinals = self.read_block_ordinals(position)
-            if not ordinals:
-                raise StorageError(f"block {position} decoded to no tuples")
-            if ordinals[0] != self._block_min[position]:
-                raise StorageError(
-                    f"block {position} min is {ordinals[0]}, "
-                    f"directory says {self._block_min[position]}"
-                )
-            if ordinals[-1] != self._block_max[position]:
-                raise StorageError(
-                    f"block {position} max is {ordinals[-1]}, "
-                    f"directory says {self._block_max[position]}"
-                )
-            if len(ordinals) != self._block_count[position]:
-                raise StorageError(
-                    f"block {position} holds {len(ordinals)} tuples, "
-                    f"directory says {self._block_count[position]}"
-                )
+            reason = self._directory.disagreement(position, ordinals)
+            if reason is not None:
+                raise StorageError(f"block {position} {reason}")
             total += len(ordinals)
         self._directory.check("verify_directory")
         if total != self._num_tuples:

@@ -10,7 +10,8 @@ boundary.
 Every holder of a directory keeps this one type: an
 :class:`~repro.storage.avqfile.AVQFile` (its four columns are the
 lists it mutates), a heap table, each MVCC epoch (a frozen copy) and
-the container reader.  Every read asks it the same questions:
+the container reader.  Every read and integrity check asks it the same
+questions:
 
 * :meth:`BlockDirectory.cover` — the positions whose ``[first, last]``
   overlaps a range: from the first entry whose ``last >= lo`` to the
@@ -19,30 +20,45 @@ the container reader.  Every read asks it the same questions:
   be in: the first whose range reaches it;
 * :meth:`BlockDirectory.placement` — the block an insert goes to;
 * :meth:`BlockDirectory.check` — the order above, raising
-  :class:`~repro.errors.StorageError`.
+  :class:`~repro.errors.StorageError`;
+* :meth:`BlockDirectory.disagreement` — why a decoded block is not the
+  one its entry records, for every scrub, repair and container read;
+* :meth:`BlockDirectory.share` — a block's own ordinals in a sorted
+  image of the file, for write-ahead-log repair.
 
 A container header records no ``last``: :meth:`BlockDirectory.of_firsts`
 bounds each block's by the next block's first ordinal, so its cover is
-a superset of the exact one that starts at most one block earlier.
+a superset of the exact one that starts at most one block earlier, a
+decoded block's last ordinal is checked against that bound only, and a
+block's share is counted from block 0.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import StorageError
 
-__all__ = ["BlockDirectory", "DirectoryEntry"]
+__all__ = ["BlockDirectory", "DecodedRun", "DirectoryEntry"]
 
 #: ``(block_id, first_ordinal, last_ordinal, count)``.
 DirectoryEntry = Tuple[int, int, int, int]
 
 
-class BlockDirectory:
-    """Four parallel columns, one entry per block in phi order."""
+class DecodedRun(Protocol):
+    """Decoded ordinals: a list, an int64 array or a lazy view."""
 
-    __slots__ = ("ids", "firsts", "lasts", "counts")
+    def __len__(self) -> int: ...
+
+    def __getitem__(self, index: int, /) -> Any: ...
+
+
+class BlockDirectory:
+    """Four parallel columns, one entry per block in phi order;
+    ``bounded`` when ``lasts`` are only bounds (:meth:`of_firsts`)."""
+
+    __slots__ = ("ids", "firsts", "lasts", "counts", "bounded")
 
     def __init__(
         self,
@@ -55,6 +71,7 @@ class BlockDirectory:
         self.firsts = firsts
         self.lasts = lasts
         self.counts = counts
+        self.bounded = False
 
     @classmethod
     def of(cls, entries: Iterable[Sequence[int]]) -> "BlockDirectory":
@@ -73,18 +90,22 @@ class BlockDirectory:
         and the final block's by ``top``.
         """
         lasts = (*firsts[1:], top) if firsts else ()
-        return cls(
+        directory = cls(
             tuple(range(len(firsts))), tuple(firsts), lasts, tuple(counts)
         )
+        directory.bounded = True
+        return directory
 
     def frozen(self) -> "BlockDirectory":
         """An immutable copy (a no-op copy for tuple columns)."""
-        return BlockDirectory(
+        copy = BlockDirectory(
             tuple(self.ids),
             tuple(self.firsts),
             tuple(self.lasts),
             tuple(self.counts),
         )
+        copy.bounded = self.bounded
+        return copy
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -144,6 +165,37 @@ class BlockDirectory:
                     f"precedes previous block's last {prev_last}"
                 )
             prev_last = last
+
+    def disagreement(
+        self, position: int, ordinals: DecodedRun
+    ) -> Optional[str]:
+        """Why decoded ``ordinals`` are not the block at ``position``
+        (count, first and last ordinal; in a first-only directory the
+        last must only not pass its bound), or ``None``."""
+        count, first = self.counts[position], self.firsts[position]
+        if len(ordinals) != count or not count:
+            return f"decoded to {len(ordinals)} tuples, directory says {count}"
+        if ordinals[0] != first:
+            return f"starts at ordinal {ordinals[0]}, directory says {first}"
+        last, bound = ordinals[-1], self.lasts[position]
+        if self.bounded and last > bound:
+            return f"ends at ordinal {last}, past its bound {bound}"
+        if not self.bounded and last != bound:
+            return f"ends at ordinal {last}, directory says {bound}"
+        return None
+
+    def share(self, position: int, image: Sequence[int]) -> Sequence[int]:
+        """The block's own ordinals in ``image``, the sorted ordinals of
+        the whole file: counted from the nearest block ``q`` at or
+        before it that no run straddles into (block 0 in a first-only
+        directory), ``bisect_left(image, first[q])`` plus the counts of
+        the blocks between."""
+        anchor = position
+        while anchor and self.lasts[anchor - 1] >= self.firsts[anchor]:
+            anchor -= 1
+        start = bisect_left(image, self.firsts[anchor])
+        start += sum(self.counts[anchor:position])
+        return image[start : start + self.counts[position]]
 
     def _first_reaching(self, ordinal: int) -> int:
         """Position of the first block whose ``last >= ordinal``.

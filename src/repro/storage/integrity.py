@@ -22,8 +22,10 @@ behind the per-read checksums of :class:`~repro.storage.avqfile.AVQFile`:
   "skip", or "repair" on a degraded read) that
   :class:`~repro.db.table.Table` drives.
 
-The repair contract is strict: a restored payload must match the
-directory's recorded range and count, must re-read byte-identically, and
+The repair contract is strict: a restored payload must be the block
+its directory entry records (first ordinal, count and last ordinal, the
+one rule :meth:`~repro.storage.directory.BlockDirectory.disagreement`
+every integrity path asks), must re-read byte-identically, and
 — wherever a checksum was recorded — must reproduce it exactly.  A block
 that cannot be proven correct stays quarantined; garbage is never
 silently returned.  See docs/INTEGRITY.md for the full protocol.
@@ -32,7 +34,6 @@ silently returned.  See docs/INTEGRITY.md for the full protocol.
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +50,7 @@ from repro.index.secondary import SecondaryIndex
 from repro.obs import runtime as _obs
 from repro.storage.avqfile import AVQFile
 from repro.storage.buffer import BufferPool
-from repro.storage.wal import WriteAheadLog, read_log, replay_records
+from repro.storage.wal import WriteAheadLog, committed_ordinals
 
 __all__ = [
     "DEGRADED_READ_POLICIES",
@@ -281,22 +282,13 @@ class Scrubber:
                 detected_by="decode",
                 message=f"payload does not decode: {exc}",
             )
-        first, last = storage.block_range(position)
-        count = storage.block_tuple_count(position)
-        if (
-            not ordinals
-            or ordinals[0] != first
-            or ordinals[-1] != last
-            or len(ordinals) != count
-        ):
+        reason = storage.block_directory.disagreement(position, ordinals)
+        if reason is not None:
             return ScrubFinding(
                 position=position,
                 block_id=block_id,
                 detected_by="directory",
-                message=(
-                    f"decoded contents contradict the directory "
-                    f"(expected [{first}, {last}], {count} tuples)"
-                ),
+                message=f"decoded contents contradict the directory: {reason}",
             )
         if backfill and storage.block_crc(position) is None:
             storage.set_block_crc(position, zlib.crc32(payload))
@@ -323,18 +315,20 @@ class RepairEngine:
     1. **Tuple-level primary index** — one entry per stored tuple with
        multiplicity; :meth:`TupleOrdinalIndex.ordinals_for_block` *is*
        the block's logical contents.
-    2. **Write-ahead log** — the committed logical image (checkpoint
-       plus committed operations) sliced to the block's ordinal range.
-       Block ranges are disjoint, so the slice is exact — including
-       duplicate multiplicity.
+    2. **Write-ahead log** — the block's share
+       (:meth:`~repro.storage.directory.BlockDirectory.share`) of the
+       committed logical image (checkpoint plus committed operations):
+       a run of one tuple may straddle blocks, so each block takes
+       exactly its own count of the copies.
     3. **Secondary-index enumeration** — the cross product of each
        attribute's values known to occur in the block, filtered to the
        block's ordinal range.  Bounded (:data:`_ENUMERATION_CAP`) and
        duplicate-blind, so it only ever succeeds through the checksum
        gate below.
 
-    Every candidate must match the directory's recorded range and
-    count, and — whenever the directory recorded a checksum — its
+    Every candidate must be the block its directory entry records
+    (:meth:`~repro.storage.directory.BlockDirectory.disagreement`),
+    and — whenever the directory recorded a checksum — its
     re-encoding must reproduce that CRC32 exactly (the codec is
     deterministic, so a CRC match is byte-identity with what was
     originally written).  Sources 1 and 2 are accepted without a
@@ -419,9 +413,9 @@ class RepairEngine:
                 block_id
             )
         if self._wal is not None:
-            ordinals = self._wal_slice(position)
-            if ordinals is not None:
-                yield "wal", ordinals
+            self._wal.force()
+            image = committed_ordinals(self._wal.path)
+            yield "wal", self._storage.block_directory.share(position, image)
         if self._secondaries:
             ordinals = self._enumerate(position, block_id)
             if ordinals is not None:
@@ -436,14 +430,8 @@ class RepairEngine:
     ) -> Optional[Tuple[bytes, bool]]:
         """Encode a candidate and decide whether it is proven correct."""
         storage = self._storage
-        first, last = storage.block_range(position)
-        count = storage.block_tuple_count(position)
-        if (
-            not ordinals
-            or ordinals[0] != first
-            or ordinals[-1] != last
-            or len(ordinals) != count
-        ):
+        directory = storage.block_directory
+        if directory.disagreement(position, ordinals) is not None:
             return None
         try:
             payload = storage.encode_payload(ordinals)
@@ -458,19 +446,6 @@ class RepairEngine:
         if source == "secondary-enumeration":
             return None
         return payload, False
-
-    def _wal_slice(self, position: int) -> Optional[List[int]]:
-        """The committed logical image restricted to one block's range."""
-        wal = self._wal
-        if wal is None:
-            return None
-        wal.force()
-        _header, records, _truncated, _end = read_log(wal.path)
-        image = replay_records(records).ordinals
-        first, last = self._storage.block_range(position)
-        lo = bisect_left(image, first)
-        hi = bisect_right(image, last)
-        return image[lo:hi]
 
     def _enumerate(
         self, position: int, block_id: int

@@ -91,6 +91,7 @@ __all__ = [
     "WALRecord",
     "WALStats",
     "WriteAheadLog",
+    "committed_ordinals",
     "read_log",
     "recover",
     "replay_records",
@@ -380,6 +381,13 @@ def read_log(
         off = end
     valid_end = off if truncated is None else truncated
     return header, records, truncated, valid_end
+
+
+def committed_ordinals(path: str) -> List[int]:
+    """The ascending ordinals a log file's committed image holds:
+    :func:`read_log`'s valid prefix through :func:`replay_records`."""
+    _header, records, _truncated, _end = read_log(path)
+    return replay_records(records).ordinals
 
 
 def _parse_header(path: str, data: bytes) -> Tuple[WALHeader, int]:

@@ -153,9 +153,9 @@ class TestSkipPolicy:
     def test_scan_skips_and_flags_degraded(self):
         table, disk = build("skip")
         target = rot_and_scrub(table, disk)
-        lost = table.storage.block_tuple_count(
+        lost = table.storage.block_directory.counts[
             table.storage.position_of_id(target)
-        )
+        ]
         result = table.select(ALL)
         assert result.degraded
         assert result.skipped_blocks == [target]

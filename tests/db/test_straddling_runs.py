@@ -6,6 +6,8 @@ tuple leaves two blocks with the same first ordinal.  Every read must
 still find every copy: the live select, the snapshot select, point
 probes, aggregates and ``repro query``, against a brute-force oracle;
 and such a directory must survive a clean reopen and crash recovery.
+A block a run straddles into must also be repairable from the
+write-ahead log alone, online and in a container.
 """
 
 import random
@@ -19,11 +21,14 @@ from repro.db.aggregates import aggregate
 from repro.db.query import RangeQuery
 from repro.db.table import Table
 from repro.io.format import AVQFileReader, write_avq_file
+from repro.io.scrub import fsck_container
 from repro.relational.domain import IntegerRangeDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.storage.avqfile import AVQFile
 from repro.storage.disk import SimulatedDisk
+from repro.storage.faults import FaultInjector, FaultyDisk
+from repro.storage.wal import WriteAheadLog
 
 SIZES = (16, 16, 16)
 SCHEMA = Schema(
@@ -242,6 +247,39 @@ class TestDurableDirectory:
         rebuilt.verify_directory()
 
 
+class TestWalRepair:
+    """The log's committed image holds every copy of a run; each block
+    takes its own share of it, so repair is byte-identical."""
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["heavy", "mixed"])
+    def test_every_block_repairs_from_the_wal_alone(self, tmp_path, mixed):
+        rows = [HEAVY] * 300
+        if mixed:
+            rows += random_rows(seed=3) + [(9, 9, 9)] * 70
+        disk = FaultyDisk(block_size=128, injector=FaultInjector(seed=5))
+        table = Table.from_relation(
+            "t",
+            Relation(SCHEMA, rows),
+            disk,
+            durable_path=str(tmp_path / "t.wal"),
+            degraded_reads="repair",
+        )
+        assert table.tuple_ordinal_index is None
+        assert straddles(table)
+        ids = list(table.storage.block_ids)
+        originals = [disk.read_block(bid) for bid in ids]
+        for position, bid in enumerate(ids):
+            disk.rot_block(bid)
+            outcome = table.repair_block(position)
+            assert (outcome.source, outcome.crc_verified) == ("wal", True)
+            assert disk.read_block(bid) == originals[position]
+        for bid in ids:
+            disk.rot_block(bid)
+        for query in QUERIES:
+            assert table.select(query).tuples == oracle(rows, query)
+        assert [disk.read_block(bid) for bid in ids] == originals
+
+
 def straddling_container(tmp_path):
     rows = random_rows() + [HEAVY] * 150
     path = str(tmp_path / "t.avq")
@@ -269,6 +307,27 @@ class TestContainerReader:
             cover = list(reader.block_directory.cover(lo, hi))
             assert set(exact) <= set(cover)
             assert cover[0] >= exact[0] - 1
+
+    def test_fsck_repairs_every_block_from_the_wal(self, tmp_path):
+        """Including the blocks whose first ordinal is HEAVY, which a
+        run straddles into."""
+        rows, path = straddling_container(tmp_path)
+        wal = str(tmp_path / "t.wal")
+        with WriteAheadLog.create(wal, SCHEMA, block_size=128) as log:
+            log.checkpoint(Relation(SCHEMA, rows).phi_ordinals())
+        pristine = open(path, "rb").read()
+        heavy = SCHEMA.mapper.phi(HEAVY)
+        with AVQFileReader(path) as reader:
+            offsets = [e.offset for e in reader._entries]
+            starts = reader.block_directory.firsts
+        assert heavy in starts[1:]
+        for position, offset in enumerate(offsets):
+            damaged = bytearray(pristine)
+            damaged[offset + 3] ^= 0x08
+            open(path, "wb").write(bytes(damaged))
+            report = fsck_container(path, repair=True, wal_path=wal)
+            assert report.repaired == [position]
+            assert open(path, "rb").read() == pristine
 
     def test_query_counts_every_copy(self, tmp_path, capsys):
         rows, path = straddling_container(tmp_path)

@@ -105,7 +105,8 @@ class TestLazyAccess:
             collected = []
             for pos in range(reader.num_blocks):
                 tuples = reader.read_block(pos)
-                count, first = reader.block_info(pos)
+                directory = reader.block_directory
+                count, first = directory.counts[pos], directory.firsts[pos]
                 assert len(tuples) == count
                 assert reader.schema.mapper.phi(tuples[0]) == first
                 collected.extend(tuples)
@@ -232,7 +233,7 @@ class TestReadBackChecks:
         codec = codecs(relation.schema)[which]
         path = self._container(relation, tmp_path, codec)
         with AVQFileReader(path) as reader:
-            count = reader.block_info(2)[0]
+            count = reader.block_directory.counts[2]
 
         def miscount(header):
             header["blocks"][2][1] += 1
@@ -242,4 +243,23 @@ class TestReadBackChecks:
             path, CorruptionError, "directory",
             f"block 2 decoded to {count} tuples, "
             f"directory says {count + 1}",
+        )
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["vector", "scalar"])
+    def test_directory_first_ordinal_mismatch(
+        self, relation, tmp_path, which
+    ):
+        codec = codecs(relation.schema)[which]
+        path = self._container(relation, tmp_path, codec)
+        with AVQFileReader(path) as reader:
+            first = reader.block_directory.firsts[2]
+
+        def misplace(header):
+            header["blocks"][2][2] = str(first + 1)
+
+        rewrite_header(path, misplace)
+        self._assert_fails_like_scan(
+            path, CorruptionError, "directory",
+            f"block 2 starts at ordinal {first}, "
+            f"directory says {first + 1}",
         )

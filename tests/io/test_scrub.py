@@ -73,6 +73,24 @@ def strip_checksums(path):
                 + raw[10 + header_len:])
 
 
+def replace_payload(path, block, ordinals):
+    """Swap one block's payload for the encoding of ``ordinals``,
+    fixing up its header length (no CRC is recomputed)."""
+    with AVQFileReader(path) as reader:
+        entry = reader._entry(block)
+        offset, length = entry.offset, entry.length
+        payload = reader.codec.encode_ordinals(ordinals)
+    raw = open(path, "rb").read()
+    header_len = int.from_bytes(raw[6:10], "big")
+    header = json.loads(raw[10:10 + header_len])
+    header["blocks"][block][0] = len(payload)
+    hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(raw[:6] + len(hb).to_bytes(4, "big") + hb
+                + raw[10 + header_len:offset] + payload
+                + raw[offset + length:])
+
+
 class TestReaderIntegrity:
     def test_checksum_failure_carries_structured_payload(self, container):
         avq, _, pristine = container
@@ -225,6 +243,31 @@ class TestBackfill:
         report = scrub_container(avq)
         assert len(report.findings) == 1
         assert report.findings[0].detected_by in ("decode", "directory")
+
+    def test_legacy_block_ending_past_the_next_block(self, container):
+        """A CRC-less block with the right first ordinal and count that
+        ends past the next block's first is caught by the header's
+        bound on its last ordinal, on scrub and on read."""
+        avq, _, _ = container
+        strip_checksums(avq)
+        with AVQFileReader(avq) as reader:
+            ordinals = reader.codec.decode_ordinals(reader.raw_payload(1))
+            next_first = reader.block_directory.firsts[2]
+        replace_payload(avq, 1, ordinals[:-1] + [next_first + 1])
+        report = scrub_container(avq)
+        assert [(f.position, f.detected_by) for f in report.findings] == [
+            (1, "directory")
+        ]
+        message = (
+            f"ends at ordinal {next_first + 1}, "
+            f"past its bound {next_first}"
+        )
+        assert report.findings[0].message == message
+        with AVQFileReader(avq) as reader:
+            with pytest.raises(CorruptionError) as exc:
+                reader.read_block(1)
+        assert exc.value.detected_by == "directory"
+        assert str(exc.value) == f"block 1 {message}"
 
 
 class TestCLI:

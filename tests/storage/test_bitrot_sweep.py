@@ -30,13 +30,40 @@ def build_table(disk):
     )
 
 
+def build_straddling_table(disk, wal_path):
+    """Two blocks that a run of one tuple straddles, repairable from
+    the write-ahead log alone (no tuple-level index)."""
+    from repro.db.table import Table
+    from repro.relational.encoding import SchemaInferencer
+    from repro.relational.relation import Relation
+
+    values = [(i, i % 5, i % 3) for i in range(20)] + [(3, 3, 0)] * 200
+    schema = SchemaInferencer().infer(values, ["a", "b", "c"])
+    relation = Relation.from_values(schema, values)
+    table = Table.from_relation(
+        "sweep", relation, disk, durable_path=wal_path,
+        degraded_reads="repair",
+    )
+    (_, _, last, _), (_, first, _, _) = table.storage.block_directory
+    assert last == first
+    return table
+
+
 class TestSimulatedDiskSweep:
-    def test_every_single_bit_flip_is_detected_and_repaired(self):
+    @pytest.mark.parametrize("source", ["primary-index", "wal"])
+    def test_every_single_bit_flip_is_detected_and_repaired(
+        self, source, tmp_path
+    ):
         """Exhaustive: flip each bit of each stored payload in turn;
         the scrub must find exactly that block, and the repair engine
-        must restore the exact original bytes."""
+        must restore the exact original bytes — from the tuple-level
+        index, or from the log's committed image on a table whose run
+        straddles its block boundary."""
         disk = SimulatedDisk(block_size=192)
-        table = build_table(disk)
+        if source == "wal":
+            table = build_straddling_table(disk, str(tmp_path / "s.wal"))
+        else:
+            table = build_table(disk)
         assert table.num_blocks >= 2
         originals = {
             bid: disk.read_block(bid) for bid in table.storage.block_ids
@@ -54,7 +81,9 @@ class TestSimulatedDiskSweep:
                 detected += 1
                 pos = table.storage.position_of_id(bid)
                 outcome = table.repair_block(pos)
-                assert outcome.crc_verified
+                assert (outcome.source, outcome.crc_verified) == (
+                    source, True
+                )
                 assert disk.read_block(bid) == original
                 repaired += 1
                 assert table.quarantined_blocks == []

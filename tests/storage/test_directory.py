@@ -5,6 +5,8 @@ sizes, so runs of one ordinal straddle boundaries and fill whole
 blocks.  With full entries the cover is exact; with first-only entries
 (a container header) it is a superset that starts at most one block
 earlier; the covering entry holds an ordinal exactly when it is stored.
+Each block's share of the whole sorted image is exactly its own run,
+and a block agrees with its own entry and with no perturbation of it.
 """
 
 import pytest
@@ -96,6 +98,51 @@ def test_frozen_copy_equals_the_live_lists(blocks):
     live = BlockDirectory(*(list(column) for column in zip(*directory)))
     assert live == directory and live.frozen() == directory
     assert list(live) == list(directory)
+
+
+def first_only(blocks):
+    return BlockDirectory.of_firsts(
+        [b[0] for b in blocks], [len(b) for b in blocks], TOP
+    )
+
+
+@given(packed())
+@settings(max_examples=300, deadline=None)
+def test_each_block_shares_exactly_its_own_run(blocks):
+    image = [o for b in blocks for o in b]
+    for directory in (full(blocks), first_only(blocks)):
+        for position, block in enumerate(blocks):
+            assert list(directory.share(position, image)) == block
+
+
+@given(packed())
+@settings(max_examples=200, deadline=None)
+def test_a_block_agrees_only_with_its_own_entry(blocks):
+    for directory in (full(blocks), first_only(blocks)):
+        for position, block in enumerate(blocks):
+            assert directory.disagreement(position, block) is None
+            others = [
+                block[:-1],  # one tuple short
+                block + [block[-1]],  # one tuple more
+                [block[0] - 1] + block[1:],  # wrong first
+            ]
+            if not directory.bounded:
+                others.append(block[:-1] + [block[-1] + 1])  # wrong last
+            for other in others:
+                assert directory.disagreement(position, other) is not None
+
+
+def test_a_first_only_last_is_a_bound():
+    directory = first_only([[0, 3], [5, 9]])
+    assert directory.disagreement(0, [0, 4]) is None
+    assert directory.disagreement(0, [0, 5]) is None
+    assert directory.disagreement(0, [0, 6]) == (
+        "ends at ordinal 6, past its bound 5"
+    )
+    assert directory.disagreement(1, [5, TOP + 1]) is not None
+    assert full([[0, 3], [5, 9]]).disagreement(0, [0, 4]) == (
+        "ends at ordinal 4, directory says 3"
+    )
 
 
 class TestCheck:
