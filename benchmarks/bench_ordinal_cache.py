@@ -68,7 +68,7 @@ def _snapshot_selects(table, queries, *, cold):
     matched = 0
     for query in queries:
         if cold:
-            cache.retain(())  # as a publish that retired every block
+            cache.clear()  # as a compaction that rewrote every block
         with table.read_snapshot() as snap:
             matched += len(snap.select(query).tuples)
     return matched

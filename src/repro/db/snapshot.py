@@ -287,6 +287,11 @@ class OrdinalCache:
         tally = self._tally()
         return tally[0], tally[1]
 
+    def clear(self) -> None:
+        """Drop every entry (a compaction rewrote every block)."""
+        with self._lock:
+            self._entries.clear()
+
     def retain(self, directory: BlockDirectory) -> None:
         """Drop entries whose block id left ``directory`` (a publish)."""
         live = set(directory.ids)

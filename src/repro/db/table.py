@@ -26,11 +26,13 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
     Union,
 )
 
+import numpy as np
+
 from repro.core.codec import BlockCodec
+from repro.core.phi import phi_inverse_array
 from repro.errors import (
     CorruptionError,
     QuarantinedBlockError,
@@ -58,7 +60,7 @@ from repro.index.primary import TupleOrdinalIndex
 from repro.index.secondary import SecondaryIndex
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.storage.avqfile import AVQFile
+from repro.storage.avqfile import AVQFile, BlockRewrite, OrdinalReader, Span
 from repro.storage.directory import BlockDirectory
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heapfile import HeapFile
@@ -79,8 +81,6 @@ if TYPE_CHECKING:  # circular at type level only
 __all__ = ["Table"]
 
 StorageFile = Union[AVQFile, HeapFile]
-
-_T = TypeVar("_T")
 
 
 class _BlockScan(NamedTuple):
@@ -479,36 +479,27 @@ class Table:
     ) -> bytes:
         """``source(block_id)`` behind the quarantine and integrity guard.
 
-        A quarantined id is refused before any bytes move, and a fetch
-        that trips corruption quarantines the block and applies the
-        degraded-read policy (see :meth:`_guarded`).  ``repair=False``
-        is the reader-thread form: the "repair" policy then quarantines
-        and raises like "raise", because only the writer writes storage.
-        """
-        if self._integrity is not None:
-            self._integrity.check(block_id, repair=repair)
-        return self._guarded(lambda: source(block_id), repair=repair)
-
-    def _guarded(self, read: Callable[[], _T], *, repair: bool = True) -> _T:
-        """Run a read under the integrity policy, retrying after repair.
-
-        A :class:`~repro.errors.CorruptionError` quarantines the block;
+        A quarantined id is refused before any bytes move.  A
+        :class:`~repro.errors.CorruptionError` quarantines the block;
         under the "repair" policy :meth:`IntegrityManager.resolve`
         returns only after a *verified* repair, so the single retry
         reads healthy bytes.  Under any other policy resolve raises
         :class:`~repro.errors.QuarantinedBlockError` — query loops
         catch it per block when the policy is "skip"; everything else
         (point probes, mutations) lets it surface, because corrupt data
-        must never be silently absent.
+        must never be silently absent.  ``repair=False`` is the
+        reader-thread form: the "repair" policy then quarantines and
+        raises like "raise", because only the writer writes storage.
         """
         integ = self._integrity
         if integ is None:
-            return read()
+            return source(block_id)
+        integ.check(block_id, repair=repair)
         try:
-            return read()
+            return source(block_id)
         except CorruptionError as exc:
             integ.resolve(exc, repair=repair)
-            return read()
+            return source(block_id)
 
     def _skip_degraded(self) -> bool:
         """Whether query loops may omit quarantined blocks."""
@@ -604,13 +595,6 @@ class Table:
         if isinstance(self._storage, AVQFile):
             self._storage.verify_payload(block_id, payload)
         return payload
-
-    def _mvcc_stash(self, block_id: int) -> None:
-        """Preserve a block's committed payload before rewriting it."""
-        if self._mvcc is not None:
-            self._mvcc.stash(
-                block_id, lambda: self._current_payload(block_id)
-            )
 
     def _mvcc_publish(self) -> None:
         """Seal the current epoch at a commit boundary."""
@@ -806,23 +790,15 @@ class Table:
         returning — so a plain ``table.insert`` is durable the moment it
         returns.
         """
-        if self._wal is None:
+        wal = self._wal
+        if wal is None:
             return
         tid = self._active_tid
         if tid is None:
-            tid = self._wal.begin()
-            self._log_op(tid, op, ordinal)
-            self._wal.commit(tid)
-        else:
-            self._log_op(tid, op, ordinal)
-
-    def _log_op(self, tid: int, op: str, ordinal: int) -> None:
-        if self._wal is None:  # pragma: no cover - guarded by callers
-            raise QueryError("table has no write-ahead log")
-        if op == "insert":
-            self._wal.log_insert(tid, ordinal)
-        else:
-            self._wal.log_delete(tid, ordinal)
+            tid = wal.begin()
+        (wal.log_insert if op == "insert" else wal.log_delete)(tid, ordinal)
+        if self._active_tid is None:
+            wal.commit(tid)
 
     def _wal_ensure_dirty(self) -> None:
         """The write-ahead step proper, before any data-block mutation.
@@ -936,65 +912,14 @@ class Table:
 
         Under the "repair" policy, an insert that lands on a corrupt
         block repairs it first; under any other policy the corruption
-        surfaces — mutations never skip (see :meth:`_guarded`).
+        surfaces — mutations never skip (see :meth:`_fetch_guarded`).
         """
         storage = self._require_avq("insert")
-        t = tuple(int(v) for v in values)
-        self._schema.mapper.validate(t)
-        ordinal = self._schema.mapper.phi(t)
-        self._guarded(lambda: self._insert_impl(storage, t, ordinal))
-        if self._active_tid is None:
-            # Top-level mutation = its own commit boundary (autocommit,
-            # mirroring the WAL's); inside a durable transaction the
-            # epoch publishes at commit/abort instead.
-            self._mvcc_publish()
-
-    def _insert_impl(
-        self, storage: AVQFile, t: Tuple[int, ...], ordinal: int
-    ) -> None:
-        self._wal_ensure_dirty()
-
-        if storage.num_blocks == 0:
-            storage.insert(t)
-            block_id = storage.block_ids[0]
-            for idx in self._value_indices():
-                idx.add(t[idx.position], block_id)
-            if self._tuple_index is not None:
-                self._tuple_index.add(ordinal, block_id)
-            self._wal_log("insert", ordinal)
-            return
-
-        pos = storage.block_of_ordinal(ordinal)
-        old_id = storage.block_ids[pos]
-        if self._integrity is not None:
-            self._integrity.check(old_id)
-        self._mvcc_stash(old_id)
-        has_value_indices = bool(self._secondaries or self._hash_indices)
-        old_tuples = storage.read_block(pos) if has_value_indices else None
-        blocks_before = storage.num_blocks
-
-        storage.insert(t)
-        if self._buffer is not None:
-            self._buffer.invalidate(old_id)
-        split = storage.num_blocks > blocks_before
-        if self._tuple_index is not None:
-            # Provisionally file the new tuple under the old block, then
-            # migrate every occurrence the split moved right — covers
-            # the inserted tuple landing on either side.
-            self._tuple_index.add(ordinal, old_id)
-            if split:
-                for moved in storage.read_block_ordinals(pos + 1):
-                    self._tuple_index.reassign(
-                        moved, old_id, storage.block_ids[pos + 1]
-                    )
-        if has_value_indices:
-            new_left = storage.read_block(pos)
-            new_right = storage.read_block(pos + 1) if split else []
-            for idx in self._value_indices():
-                idx.reindex_block(old_id, old_tuples, new_left)
-                if split:
-                    idx.reindex_block(storage.block_ids[pos + 1], [], new_right)
-        self._wal_log("insert", ordinal)
+        ordinal = self._ordinal_of(values)
+        self._mutate(
+            lambda read: storage.insert_span(ordinal, read),
+            ("insert", ordinal),
+        )
 
     def delete(self, values: Sequence[int]) -> bool:
         """Delete one occurrence of a tuple; returns whether it existed.
@@ -1002,50 +927,96 @@ class Table:
         Integrity-guarded like :meth:`insert`: corruption on the target
         block is repaired (under "repair") or surfaced, never skipped —
         a delete that silently missed a stored tuple would corrupt the
-        logical state on top of the physical damage.
+        logical state on top of the physical damage.  An absent tuple
+        writes, stashes and logs nothing.
         """
         storage = self._require_avq("delete")
+        ordinal = self._ordinal_of(values)
+        change = self._mutate(
+            lambda read: storage.delete_span(ordinal, read),
+            ("delete", ordinal),
+        )
+        return change is not None
+
+    def _ordinal_of(self, values: Sequence[int]) -> int:
         t = tuple(int(v) for v in values)
         self._schema.mapper.validate(t)
-        ordinal = self._schema.mapper.phi(t)
-        removed = self._guarded(
-            lambda: self._delete_impl(storage, t, ordinal)
-        )
+        return self._schema.mapper.phi(t)
+
+    def _tuples_of(self, ordinals: Sequence[int]) -> List[Sequence[int]]:
+        """Sorted ordinals back to tuples, in one numpy pass when the
+        ordinal space fits int64."""
+        mapper = self._schema.mapper
+        if not mapper.fits_int64:
+            return [mapper.phi_inverse(o) for o in ordinals]
+        rows: List[Sequence[int]] = phi_inverse_array(
+            np.asarray(ordinals, dtype=np.int64), mapper.domain_sizes
+        ).tolist()
+        return rows
+
+    def _mutate(
+        self,
+        choose: Callable[[OrdinalReader], Optional[Span]],
+        logged: Optional[Tuple[str, int]] = None,
+    ) -> Optional[BlockRewrite]:
+        """Make a span choice over guarded reads and apply its rewrite.
+
+        The one place a mutation touches storage.  Each block the
+        choice reads is fetched once (:meth:`_fetch_guarded`) and
+        decoded through the :attr:`ordinal_cache` when the table has
+        one.  Only when the choice writes, in order: mark the WAL
+        dirty, stash the fetched payloads, rewrite, drop the old ids
+        from the buffer pool, move the tuple-index entries whose block
+        changed, reindex every old or new block in the value indices,
+        log ``logged`` to the WAL, and publish a version epoch unless a
+        durable transaction is open (it publishes at commit or abort).
+        An old id's ordinal-cache entry stays: it is payload-checked,
+        so it only answers for the pre-image the stash serves.
+        """
+        storage = self._require_avq("mutate")
+        fetched: Dict[int, bytes] = {}
+
+        def read(position: int) -> List[int]:
+            block_id = storage.block_id_at(position)
+            payload = self._fetch_guarded(block_id, self._current_payload)
+            fetched[block_id] = payload
+            if self._ordinals is not None:
+                ordinals: List[int] = self._ordinals.ordinals(
+                    block_id, payload
+                ).tolist()
+                return ordinals
+            return storage.codec.decode_ordinals(payload)
+
+        span = choose(read)
+        if span is None:
+            return None
+        self._wal_ensure_dirty()
+        if self._mvcc is not None:
+            for block_id, payload in fetched.items():
+                self._mvcc.stash(block_id, lambda p=payload: p)
+        change = storage.rewrite(*span)
+        if self._buffer is not None:
+            for block_id in change.old_ids:
+                self._buffer.invalidate(block_id)
+        if self._tuple_index is not None:
+            self._tuple_index.move(
+                zip(change.old_ids, change.old_runs),
+                zip(change.new_ids, change.new_runs),
+            )
+        indices = self._value_indices()
+        if indices:
+            old = dict(zip(change.old_ids, change.old_runs))
+            new = dict(zip(change.new_ids, change.new_runs))
+            for block_id in dict.fromkeys(change.old_ids + change.new_ids):
+                before = self._tuples_of(old.get(block_id, ()))
+                after = self._tuples_of(new.get(block_id, ()))
+                for idx in indices:
+                    idx.reindex_block(block_id, before, after)
+        if logged is not None:
+            self._wal_log(*logged)
         if self._active_tid is None:
             self._mvcc_publish()
-        return removed
-
-    def _delete_impl(
-        self, storage: AVQFile, t: Tuple[int, ...], ordinal: int
-    ) -> bool:
-        pos = storage.block_directory.covering(ordinal)
-        if pos is None:
-            # Outside every block's range: AVQFile.delete would find
-            # nothing there either, so check, stash and read nothing.
-            return False
-        old_id = storage.block_ids[pos]
-        if self._integrity is not None:
-            self._integrity.check(old_id)
-        self._mvcc_stash(old_id)
-        has_value_indices = bool(self._secondaries or self._hash_indices)
-        old_tuples = storage.read_block(pos) if has_value_indices else None
-        blocks_before = storage.num_blocks
-
-        self._wal_ensure_dirty()
-        if not storage.delete(t):
-            return False
-        if self._buffer is not None:
-            self._buffer.invalidate(old_id)
-        if self._tuple_index is not None:
-            self._tuple_index.remove(ordinal, old_id)
-
-        if has_value_indices:
-            emptied = storage.num_blocks < blocks_before
-            new_tuples = [] if emptied else storage.read_block(pos)
-            for idx in self._value_indices():
-                idx.reindex_block(old_id, old_tuples, new_tuples)
-        self._wal_log("delete", ordinal)
-        return True
+        return change
 
     def update(self, old: Sequence[int], new: Sequence[int]) -> bool:
         """Section 4.2: modification as deletion plus insertion."""
@@ -1104,38 +1075,22 @@ class Table:
         return deleted
 
     def compact(self) -> int:
-        """Repack fragmented storage (after churn); returns blocks saved.
+        """Repack fragmented storage in place (after churn); returns
+        blocks saved.
 
-        All indices are rebuilt against the new block layout, and the
-        buffer pool (if any) is emptied — every cached payload is stale.
+        One rewrite of every block (:meth:`AVQFile.compact_span`),
+        applied like any mutation (:meth:`_mutate`): pinned snapshots
+        read the stashed old blocks, the buffer pool drops them, and
+        the indices move only what changed.
         """
         storage = self._require_avq("compact")
-        saved = storage.compact()
-        rebuilt_secondaries = {}
-        for name in self._secondaries:
-            rebuilt_secondaries[name] = SecondaryIndex.build(
-                name,
-                self._schema.position(name),
-                storage.iter_blocks(),
-                order=self._index_order,
-            )
-        self._secondaries = rebuilt_secondaries
-        rebuilt_hashes = {}
-        for name in self._hash_indices:
-            rebuilt_hashes[name] = ExtendibleHashIndex.build(
-                name, self._schema.position(name), storage.iter_blocks()
-            )
-        self._hash_indices = rebuilt_hashes
-        if self._tuple_index is not None:
-            self._tuple_index = self._build_tuple_index(storage)
-        self._refresh_repair_engine()
-        if self._buffer is not None:
-            self._buffer.clear()
-        # Compaction abandons the old blocks (their bytes stay on the
-        # simulated disk), so pinned snapshots keep reading them; new
-        # snapshots need the repacked directory, hence a fresh epoch.
-        self._mvcc_publish()
-        return saved
+        blocks_before = storage.num_blocks
+        self._mutate(storage.compact_span)
+        if self._ordinals is not None:
+            # Every entry is now a pre-image: drop the whole decoded
+            # copy of the old file rather than keep it for stash reads.
+            self._ordinals.clear()
+        return blocks_before - storage.num_blocks
 
     def _require_avq(self, op: str) -> AVQFile:
         if not isinstance(self._storage, AVQFile):

@@ -24,6 +24,7 @@ reconstructed from the index alone (docs/INTEGRITY.md).  Tables opt in
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.phi import OrdinalMapper
@@ -31,6 +32,9 @@ from repro.errors import IndexError_
 from repro.index.bptree import BPlusTree
 
 __all__ = ["PrimaryIndex", "TupleOrdinalIndex"]
+
+#: ``(block_id, sorted ordinals)`` per block.
+Blocks = Iterable[Tuple[int, Sequence[int]]]
 
 
 class PrimaryIndex:
@@ -133,7 +137,7 @@ class TupleOrdinalIndex:
     @classmethod
     def build(
         cls,
-        blocks: Iterable[Tuple[int, Sequence[int]]],
+        blocks: Blocks,
         *,
         order: int = 32,
     ) -> "TupleOrdinalIndex":
@@ -189,12 +193,15 @@ class TupleOrdinalIndex:
             f"{block_id}"
         )
 
-    def reassign(
-        self, ordinal: int, old_block: int, new_block: int
-    ) -> None:
-        """Move one occurrence between blocks (a split relocated it)."""
-        self.remove(ordinal, old_block)
-        self.add(ordinal, new_block)
+    def move(self, old_blocks: Blocks, new_blocks: Blocks) -> None:
+        """Apply one block rewrite, ``(block_id, ordinals)`` pairs before
+        and after: only occurrences whose block changed move."""
+        before = Counter((o, b) for b, run in old_blocks for o in run)
+        after = Counter((o, b) for b, run in new_blocks for o in run)
+        for ordinal, block_id in (before - after).elements():
+            self.remove(ordinal, block_id)
+        for ordinal, block_id in (after - before).elements():
+            self.add(ordinal, block_id)
 
     def blocks_of(self, ordinal: int) -> List[Tuple[int, int]]:
         """``(block_id, multiplicity)`` pairs holding this ordinal."""

@@ -8,17 +8,25 @@ block's first and last ordinal — the same information the primary index
 of Figure 4.4 holds — so that point and range lookups touch only the
 blocks that can contain matches.
 
-Tuple insertion and deletion follow Section 4.2: locate the block, decode
-it, apply the change, re-encode.  Changes are confined to the affected
-block; an insertion that overflows the block splits it in two, exactly as
-a clustered file would.
+Section 4.2 confines every update to the affected block: decode it,
+edit it, re-encode it, split it on overflow.  Here that is one
+primitive, :meth:`AVQFile.rewrite`, which replaces the blocks at
+directory positions ``[lo, hi)`` by one block per sorted ordinal run
+(a run that overflows a block is cut in half: the split).  Insert,
+delete, compact and restore are span choices worked out from the old
+blocks' ordinals (``insert_span``, ``delete_span``, ``compact_span``);
+:class:`~repro.db.table.Table` makes the same choices over its guarded
+reads and applies the returned :class:`BlockRewrite` to its indices,
+buffer pool and version store in one place.
 """
 
 from __future__ import annotations
 
 import bisect
 import zlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.codec import BlockCodec
 from repro.errors import BlockOverflowError, CorruptionError, RepairError, StorageError
@@ -28,7 +36,29 @@ from repro.storage.directory import BlockDirectory
 from repro.storage.disk import SimulatedDisk
 from repro.storage.packer import pack_runs
 
-__all__ = ["AVQFile"]
+__all__ = ["AVQFile", "BlockRewrite", "OrdinalReader", "Span"]
+
+#: ``position -> sorted ordinals`` of one block: how a span choice reads.
+OrdinalReader = Callable[[int], Sequence[int]]
+
+
+class Span(NamedTuple):
+    """A span choice: replace the blocks at ``[lo, hi)``, whose decoded
+    ordinals are ``old_runs``, by one block per run of ``runs``."""
+
+    lo: int
+    hi: int
+    runs: Sequence[Sequence[int]]
+    old_runs: Sequence[Sequence[int]]
+
+
+class BlockRewrite(NamedTuple):
+    """What one :meth:`AVQFile.rewrite` changed."""
+
+    old_ids: Tuple[int, ...]
+    old_runs: Tuple[Sequence[int], ...]
+    new_ids: Tuple[int, ...]
+    new_runs: Tuple[Sequence[int], ...]
 
 
 class AVQFile:
@@ -46,21 +76,13 @@ class AVQFile:
         self._codec = codec or BlockCodec(schema.domain_sizes)
         if self._codec.mapper.domain_sizes != schema.domain_sizes:
             raise StorageError("codec domain sizes do not match the schema")
-        self._block_ids: List[int] = []
-        self._block_min: List[int] = []   # first ordinal in each block
-        self._block_max: List[int] = []   # last ordinal in each block
-        self._block_count: List[int] = []
-        #: The four lists above, as the directory every read plans over.
-        self._directory = BlockDirectory(
-            self._block_ids, self._block_min, self._block_max,
-            self._block_count,
-        )
+        #: The directory every read plans over; :meth:`rewrite` edits it.
+        self._directory = BlockDirectory([], [], [], [])
         #: CRC32 of each block's payload as last written, keyed by the
         #: stable disk id (positions shift; ids do not).  ``None`` for a
         #: block adopted from a pre-checksum directory — a scrub
         #: backfills it (docs/INTEGRITY.md).
         self._crc_by_id: Dict[int, Optional[int]] = {}
-        self._num_tuples = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -84,19 +106,7 @@ class AVQFile:
         (property-tested in ``tests/core/test_fastpack.py``).
         """
         f = cls(relation.schema, disk, codec=codec)
-        ordinals = relation.phi_ordinals()
-        if not ordinals:
-            return f
-        runs = f._pack_runs(ordinals)
-        # Duck-typed alternative codecs (e.g. GolombBlockCodec) have no
-        # vectorised companion; they take the scalar loop below.
-        vec = getattr(f._codec, "vector_codec", None)
-        if vec is not None:
-            for run in runs:
-                f._append_encoded(run, vec.encode_run(run, disk.block_size))
-            return f
-        for run in runs:
-            f._append_run(run)
+        f.rewrite(0, 0, f._pack_runs(relation.phi_ordinals()))
         return f
 
     @classmethod
@@ -116,10 +126,7 @@ class AVQFile:
         ``ordinals`` must be sorted ascending (duplicates allowed).
         """
         f = cls(schema, disk, codec=codec)
-        if not ordinals:
-            return f
-        for run in f._pack_runs(ordinals):
-            f._append_run(run)
+        f.rewrite(0, 0, f._pack_runs(ordinals))
         return f
 
     @classmethod
@@ -149,42 +156,15 @@ class AVQFile:
                     f"attach: directory entry has {len(entry)} fields, "
                     "expected 4 or 5"
                 )
-            block_id, first, last, count = (
-                entry[0], entry[1], entry[2], entry[3]
-            )
             crc = entry[4] if len(entry) == 5 else None
-            f._block_ids.append(block_id)
-            f._block_min.append(first)
-            f._block_max.append(last)
-            f._block_count.append(count)
-            f._crc_by_id[block_id] = None if crc is None else int(crc)
-            f._num_tuples += count
+            f._crc_by_id[entry[0]] = None if crc is None else int(crc)
+        f._directory.replace(0, 0, directory)
         f._directory.check("attach")
         return f
 
     def _pack_runs(self, ordinals: Sequence[int]) -> List[Sequence[int]]:
         """Greedy Section 3.3 packing of sorted ordinals into block runs."""
         return pack_runs(self._codec, ordinals, self._disk.block_size)
-
-    def _append_run(self, ordinals: Sequence[int]) -> None:
-        self._append_encoded(ordinals, self._encode_ordinals(ordinals))
-
-    def _append_encoded(
-        self, ordinals: Sequence[int], payload: bytes
-    ) -> None:
-        """Append a run whose payload was already encoded."""
-        block_id = self._disk.append_block(payload)
-        self._block_ids.append(block_id)
-        self._block_min.append(ordinals[0])
-        self._block_max.append(ordinals[-1])
-        self._block_count.append(len(ordinals))
-        self._crc_by_id[block_id] = zlib.crc32(payload)
-        self._num_tuples += len(ordinals)
-
-    def _write_payload(self, block_id: int, payload: bytes) -> None:
-        """Rewrite one block, keeping its recorded checksum current."""
-        self._disk.write_block(block_id, payload)
-        self._crc_by_id[block_id] = zlib.crc32(payload)
 
     def _encode_ordinals(self, ordinals: Sequence[int]) -> bytes:
         # Mutation paths always hold sorted ordinals, so a codec that
@@ -214,27 +194,27 @@ class AVQFile:
     @property
     def num_blocks(self) -> int:
         """Blocks occupied on disk — the coded ``N`` of Figure 5.8."""
-        return len(self._block_ids)
+        return len(self._directory.ids)
 
     @property
     def num_tuples(self) -> int:
         """Tuples stored across all blocks."""
-        return self._num_tuples
+        return sum(self._directory.counts)
 
     @property
     def block_ids(self) -> List[int]:
         """Disk block ids in phi-cluster order."""
-        return list(self._block_ids)
+        return list(self._directory.ids)
 
     def block_id_at(self, position: int) -> int:
         """Disk block id of the ``position``-th block (no list copy)."""
         self._check_position(position)
-        return self._block_ids[position]
+        return self._directory.ids[position]
 
     def block_range(self, position: int) -> Tuple[int, int]:
         """(first, last) phi ordinal stored in the ``position``-th block."""
         self._check_position(position)
-        return self._block_min[position], self._block_max[position]
+        return self._directory.firsts[position], self._directory.lasts[position]
 
     # ------------------------------------------------------------------
     # Access
@@ -259,7 +239,7 @@ class AVQFile:
         checksum is the only honest detector.
         """
         self._check_position(position)
-        block_id = self._block_ids[position]
+        block_id = self._directory.ids[position]
         payload = self._disk.read_block(block_id)
         self.verify_payload(block_id, payload)
         return payload
@@ -298,7 +278,7 @@ class AVQFile:
     def position_of_id(self, block_id: int) -> Optional[int]:
         """Current position of a disk id, or ``None`` if not in this file."""
         try:
-            return self._block_ids.index(block_id)
+            return self._directory.ids.index(block_id)
         except ValueError:
             return None
 
@@ -314,7 +294,7 @@ class AVQFile:
     def iter_blocks(self) -> Iterator[Tuple[int, List[Tuple[int, ...]]]]:
         """Yield ``(block_id, tuples)`` for every block, in phi order."""
         for position in range(self.num_blocks):
-            yield self._block_ids[position], self.read_block(position)
+            yield self._directory.ids[position], self.read_block(position)
 
     @property
     def block_directory(self) -> BlockDirectory:
@@ -347,7 +327,7 @@ class AVQFile:
         a scrub backfills it once the payload proves decode-clean.
         """
         self._check_position(position)
-        return self._crc_by_id.get(self._block_ids[position])
+        return self._crc_by_id.get(self._directory.ids[position])
 
     def set_block_crc(self, position: int, crc: int) -> None:
         """Record a backfilled checksum for a pre-checksum block.
@@ -357,7 +337,7 @@ class AVQFile:
         that were never checksum-verified requires that decode proof.
         """
         self._check_position(position)
-        self._crc_by_id[self._block_ids[position]] = int(crc)
+        self._crc_by_id[self._directory.ids[position]] = int(crc)
 
     def all_ordinals(self) -> List[int]:
         """Every stored phi ordinal, ascending (one read per block).
@@ -374,84 +354,107 @@ class AVQFile:
 
         :meth:`BlockDirectory.placement`; ``None`` for an empty file.
         """
-        if not self._block_ids:
+        if not self._directory.ids:
             return None
         return self._directory.placement(ordinal)
 
     # ------------------------------------------------------------------
-    # Mutation (Section 4.2)
+    # Mutation (Section 4.2): one rewrite, chosen spans
     # ------------------------------------------------------------------
 
-    def insert(self, values: Sequence[int]) -> int:
-        """Insert one ordinal tuple; returns the block position updated.
+    def rewrite(
+        self,
+        lo: int,
+        hi: int,
+        runs: Sequence[Sequence[int]],
+        old_runs: Sequence[Sequence[int]] = (),
+    ) -> BlockRewrite:
+        """Replace the blocks at positions ``[lo, hi)`` by one block per run.
 
-        The change is confined to the affected block (re-coded in place);
-        a block that can no longer hold its tuples is split in two.
+        The only code that writes blocks.  Every run is encoded before
+        anything is written; a run that overflows a block is cut in
+        half (the split).  Run ``k`` then overwrites the span's
+        ``k``-th old block, extra runs get fresh blocks in order, and
+        old blocks left over are retired (the simulated disk does not
+        reclaim them).  ``old_runs``, the span's decoded ordinals, pass
+        through to the record.
         """
-        ordinal = self._schema.mapper.phi(values)
-        if not self._block_ids:
-            self._append_run([ordinal])
-            return 0
-        pos = self.block_of_ordinal(ordinal)
-        ordinals = self.read_block_ordinals(pos)
-        bisect.insort(ordinals, ordinal)
-        try:
-            payload = self._encode_ordinals(ordinals)
-        except BlockOverflowError:
-            self._split_block(pos, ordinals)
-            return pos
-        self._write_payload(self._block_ids[pos], payload)
-        self._block_min[pos] = ordinals[0]
-        self._block_max[pos] = ordinals[-1]
-        self._block_count[pos] = len(ordinals)
-        self._num_tuples += 1
-        return pos
-
-    def _split_block(self, position: int, ordinals: List[int]) -> None:
-        """Replace one overfull block with two half-full ones."""
-        mid = len(ordinals) // 2
-        left, right = ordinals[:mid], ordinals[mid:]
-        self._write_payload(
-            self._block_ids[position], self._encode_ordinals(left)
+        encoded: List[Tuple[Sequence[int], bytes]] = []
+        for run in runs:
+            try:
+                encoded.append((run, self._encode_ordinals(run)))
+            except BlockOverflowError:
+                mid = len(run) // 2
+                for half in (run[:mid], run[mid:]):
+                    encoded.append((half, self._encode_ordinals(half)))
+        directory = self._directory
+        old_ids = tuple(directory.ids[lo:hi])
+        new_ids: List[int] = []
+        for k, (run, payload) in enumerate(encoded):
+            if k < len(old_ids):
+                block_id = old_ids[k]
+                self._disk.write_block(block_id, payload)
+            else:
+                block_id = self._disk.append_block(payload)
+            self._crc_by_id[block_id] = zlib.crc32(payload)
+            new_ids.append(block_id)
+        for block_id in old_ids[len(encoded):]:
+            del self._crc_by_id[block_id]
+        new_runs = tuple(run for run, _ in encoded)
+        directory.replace(
+            lo,
+            hi,
+            [(b, r[0], r[-1], len(r)) for b, r in zip(new_ids, new_runs)],
         )
-        right_payload = self._encode_ordinals(right)
-        right_id = self._disk.append_block(right_payload)
-        self._crc_by_id[right_id] = zlib.crc32(right_payload)
-        self._block_min[position] = left[0]
-        self._block_max[position] = left[-1]
-        self._block_count[position] = len(left)
-        self._block_ids.insert(position + 1, right_id)
-        self._block_min.insert(position + 1, right[0])
-        self._block_max.insert(position + 1, right[-1])
-        self._block_count.insert(position + 1, len(right))
-        self._num_tuples += 1
+        return BlockRewrite(old_ids, tuple(old_runs), tuple(new_ids), new_runs)
+
+    def insert_span(self, ordinal: int, read: OrdinalReader) -> Span:
+        """An insert of ``ordinal``: merged into the block
+        :meth:`BlockDirectory.placement` picks, or a first block."""
+        if not self._directory.ids:
+            return Span(0, 0, [[ordinal]], [])
+        pos = self._directory.placement(ordinal)
+        old = read(pos)
+        run = list(old)
+        bisect.insort(run, ordinal)
+        return Span(pos, pos + 1, [run], [old])
+
+    def delete_span(self, ordinal: int, read: OrdinalReader) -> Optional[Span]:
+        """A delete of one ``ordinal`` from its covering block (the block
+        goes when it was the last tuple), or ``None`` when it is absent;
+        outside every block's range that costs no read."""
+        pos = self._directory.covering(ordinal)
+        if pos is None:
+            return None
+        old = read(pos)
+        at = bisect.bisect_left(old, ordinal)
+        if at == len(old) or old[at] != ordinal:
+            return None
+        run = [*old[:at], *old[at + 1 :]]
+        return Span(pos, pos + 1, [run] if run else [], [old])
+
+    def compact_span(self, read: OrdinalReader) -> Span:
+        """The whole file, repacked at maximal fill (Section 3.3)."""
+        old = [read(position) for position in range(self.num_blocks)]
+        runs = self._pack_runs([o for run in old for o in run])
+        return Span(0, len(old), runs, old)
+
+    def insert(self, values: Sequence[int]) -> int:
+        """Insert one ordinal tuple; returns the block position updated."""
+        span = self.insert_span(
+            self._schema.mapper.phi(values), self.read_block_ordinals
+        )
+        self.rewrite(*span)
+        return span.lo
 
     def delete(self, values: Sequence[int]) -> bool:
         """Delete one occurrence of a tuple; returns whether it was found."""
-        ordinal = self._schema.mapper.phi(values)
-        pos = self._directory.covering(ordinal)
-        if pos is None:
-            # Outside every block's range: the directory alone proves the
-            # tuple is absent, so don't pay a block read to find out.
+        span = self.delete_span(
+            self._schema.mapper.phi(values), self.read_block_ordinals
+        )
+        if span is None:
             return False
-        ordinals = self.read_block_ordinals(pos)
-        idx = bisect.bisect_left(ordinals, ordinal)
-        if idx >= len(ordinals) or ordinals[idx] != ordinal:
-            return False
-        ordinals.pop(idx)
-        if not ordinals:
-            self._crc_by_id.pop(self._block_ids[pos], None)
-            self._block_ids.pop(pos)
-            self._block_min.pop(pos)
-            self._block_max.pop(pos)
-            self._block_count.pop(pos)
-        else:
-            payload = self._encode_ordinals(ordinals)
-            self._write_payload(self._block_ids[pos], payload)
-            self._block_min[pos] = ordinals[0]
-            self._block_max[pos] = ordinals[-1]
-            self._block_count[pos] = len(ordinals)
-        self._num_tuples -= 1
+        self.rewrite(*span)
         return True
 
     # ------------------------------------------------------------------
@@ -471,17 +474,17 @@ class AVQFile:
     def restore_block(
         self, position: int, ordinals: Sequence[int], payload: bytes
     ) -> None:
-        """Overwrite one block with a repaired payload, then verify it.
+        """Rewrite one block with the contents repair proved, then verify.
 
         The repair contract (docs/INTEGRITY.md): ``ordinals`` must be
         the block its directory entry records — repair reconstructs
         what *was* there, never something new — and the written bytes
-        are read back and compared before the block is considered
-        healthy.  Any failure raises
+        are read back and compared with ``payload``, the proven
+        encoding, before the block is considered healthy.  Any failure raises
         :class:`~repro.errors.RepairError` and the block stays suspect.
         """
         self._check_position(position)
-        block_id = self._block_ids[position]
+        block_id = self._directory.ids[position]
         reason = self._directory.disagreement(position, ordinals)
         if reason is not None:
             raise RepairError(
@@ -491,7 +494,7 @@ class AVQFile:
                 position=position,
                 detected_by="directory",
             )
-        self._write_payload(block_id, payload)
+        self.rewrite(position, position + 1, [ordinals])
         reread = self._disk.read_block(block_id)
         if reread != payload:
             raise RepairError(
@@ -506,25 +509,19 @@ class AVQFile:
         """Check the in-memory directory against the blocks on disk.
 
         Re-reads every block and confirms it is the one its entry
-        records (:meth:`BlockDirectory.disagreement`), that the blocks
-        are in phi order (:meth:`BlockDirectory.check`), and that the
-        tuple total adds up — raising
-        :class:`~repro.errors.StorageError` on the first inconsistency.
+        records (:meth:`BlockDirectory.disagreement`) and that the
+        blocks are in phi order (:meth:`BlockDirectory.check`), raising
+        :class:`~repro.errors.StorageError` on the first inconsistency;
+        the tuple total is the directory's counts, so it adds up too.
         Mutation tests run this after split-heavy workloads to prove the
         Section 4.2 bookkeeping never drifts.
         """
-        total = 0
         for position in range(self.num_blocks):
             ordinals = self.read_block_ordinals(position)
             reason = self._directory.disagreement(position, ordinals)
             if reason is not None:
                 raise StorageError(f"block {position} {reason}")
-            total += len(ordinals)
         self._directory.check("verify_directory")
-        if total != self._num_tuples:
-            raise StorageError(
-                f"blocks hold {total} tuples, file claims {self._num_tuples}"
-            )
 
     def utilisation(self) -> float:
         """Mean payload fraction of the file's blocks.
@@ -533,7 +530,7 @@ class AVQFile:
         blocks; deletes leave slack); this is the number
         :meth:`compact` restores.
         """
-        if not self._block_ids:
+        if not self._directory.ids:
             return 0.0
         used = 0
         for position in range(self.num_blocks):
@@ -542,35 +539,14 @@ class AVQFile:
         return used / (self.num_blocks * self._disk.block_size)
 
     def compact(self) -> int:
-        """Repack the whole file at maximal fill; returns blocks saved.
-
-        Reads every block once, re-runs the greedy Section 3.3 packing
-        over the full ordinal sequence, and rewrites the file onto fresh
-        blocks.  Old blocks are abandoned (the simulated disk does not
-        reclaim space; a real implementation would free them).
-        """
-        from repro.storage.packer import pack_ordinals
-
-        ordinals: List[int] = []
-        for position in range(self.num_blocks):
-            ordinals.extend(self.read_block_ordinals(position))
-        old_blocks = self.num_blocks
-
-        partition = pack_ordinals(self._codec, ordinals, self._disk.block_size)
-        for column in (
-            self._block_ids, self._block_min, self._block_max,
-            self._block_count,
-        ):
-            column.clear()
-        self._crc_by_id = {}
-        self._num_tuples = 0
-        for run in partition.blocks:
-            self._append_run(run)
-        return old_blocks - self.num_blocks
+        """Repack the whole file at maximal fill, in place; returns
+        blocks saved (:meth:`compact_span`)."""
+        change = self.rewrite(*self.compact_span(self.read_block_ordinals))
+        return len(change.old_ids) - len(change.new_ids)
 
     def _check_position(self, position: int) -> None:
-        if not 0 <= position < len(self._block_ids):
+        if not 0 <= position < len(self._directory.ids):
             raise StorageError(
-                f"AVQ file has {len(self._block_ids)} blocks, "
+                f"AVQ file has {len(self._directory.ids)} blocks, "
                 f"no position {position}"
             )

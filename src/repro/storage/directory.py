@@ -26,6 +26,10 @@ questions:
 * :meth:`BlockDirectory.share` — a block's own ordinals in a sorted
   image of the file, for write-ahead-log repair.
 
+:meth:`BlockDirectory.replace` is the one edit: it swaps a span of
+entries for new ones, and every block rewrite of an
+:class:`~repro.storage.avqfile.AVQFile` goes through it.
+
 A container header records no ``last``: :meth:`BlockDirectory.of_firsts`
 bounds each block's by the next block's first ordinal, so its cover is
 a superset of the exact one that starts at most one block earlier, a
@@ -106,6 +110,18 @@ class BlockDirectory:
         )
         copy.bounded = self.bounded
         return copy
+
+    def replace(
+        self, lo: int, hi: int, entries: Sequence[Sequence[int]]
+    ) -> None:
+        """Replace the entries at positions ``[lo, hi)`` by ``entries``
+        (fields past the fourth are ignored): the only edit of a
+        directory's columns (lists, not frozen)."""
+        columns = tuple(zip(*entries)) or ((), (), (), ())
+        for column, values in zip(
+            (self.ids, self.firsts, self.lasts, self.counts), columns
+        ):
+            column[lo:hi] = values  # type: ignore[index]
 
     def __len__(self) -> int:
         return len(self.ids)

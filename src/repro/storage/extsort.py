@@ -169,9 +169,9 @@ def bulk_load(
             current.append(ordinal)
             current_size += cost
         else:
-            out._append_run(current)
+            out.rewrite(out.num_blocks, out.num_blocks, [current])
             current = [ordinal]
             current_size = min_block
     if current:
-        out._append_run(current)
+        out.rewrite(out.num_blocks, out.num_blocks, [current])
     return out

@@ -33,6 +33,7 @@ silently returned.  See docs/INTEGRITY.md for the full protocol.
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -350,6 +351,8 @@ class RepairEngine:
         self._tuple_index = tuple_index
         self._wal = wal
         self._secondaries = list(secondaries)
+        #: ``(forced log length, committed image)`` of the last replay.
+        self._image: Optional[Tuple[int, List[int]]] = None
 
     @property
     def sources(self) -> List[str]:
@@ -413,13 +416,25 @@ class RepairEngine:
                 block_id
             )
         if self._wal is not None:
-            self._wal.force()
-            image = committed_ordinals(self._wal.path)
-            yield "wal", self._storage.block_directory.share(position, image)
+            yield "wal", self._storage.block_directory.share(
+                position, self._committed_image(self._wal)
+            )
         if self._secondaries:
             ordinals = self._enumerate(position, block_id)
             if ordinals is not None:
                 yield "secondary-enumeration", ordinals
+
+    def _committed_image(self, wal: WriteAheadLog) -> List[int]:
+        """The log's committed image, replayed once per forced length.
+
+        The log only grows, so while its forced length is unchanged so
+        is the image: repairing many blocks replays the log once.
+        """
+        wal.force()
+        size = os.path.getsize(wal.path)
+        if self._image is None or self._image[0] != size:
+            self._image = (size, committed_ordinals(wal.path))
+        return self._image[1]
 
     def _prove(
         self,

@@ -116,11 +116,46 @@ class TestSnapshotBasics:
         with table.read_snapshot() as snap:
             before = Counter(snap.scan())
             table.compact()
-            # compact rewrites onto fresh blocks; the snapshot's stale
-            # directory still resolves (old blocks are never reused).
+            # compact rewrites in place after stashing every old block,
+            # so the snapshot's stale directory reads the stash.
             assert Counter(snap.scan()) == before
         with table.read_snapshot() as snap2:
             assert Counter(snap2.scan()) == before
+
+    def test_compaction_inside_a_transaction_publishes_at_commit(
+        self, tmp_path
+    ):
+        table = make_table(
+            ROWS, block_size=32, durable_path=str(tmp_path / "t.wal")
+        )
+        txn = Transaction(table)
+        txn.insert((5, 5, 5))
+        table.compact()
+        with table.read_snapshot() as snap:
+            assert Counter(snap.scan()) == Counter(ROWS)  # uncommitted
+        txn.commit()
+        with table.read_snapshot() as snap:
+            assert Counter(snap.scan()) == Counter(ROWS + [(5, 5, 5)])
+
+    def test_snapshot_across_compaction_ignores_rot_in_retired_block(self):
+        rows = [(a, b, c) for a in range(6) for b in range(4) for c in (1, 7)]
+        table = make_table(rows, block_size=32)
+        for t in rows[::2]:
+            table.delete(t)
+        disk = table.storage._disk
+        with table.read_snapshot() as snap:
+            before = Counter(snap.scan())
+            old_ids = table.storage.block_ids
+            assert table.compact() > 0
+            retired = sorted(set(old_ids) - set(table.storage.block_ids))
+            victim = retired[0]
+            # Every single-bit flip of a block compaction retired: the
+            # snapshot reads the stashed pre-image, never the disk.
+            for bit in range(min(200, disk.stored_size(victim) * 8)):
+                disk.corrupt_stored(victim, bit)
+                assert Counter(snap.scan()) == before, f"bit {bit}"
+                disk.corrupt_stored(victim, bit)
+            assert table.quarantined_blocks == []
 
     def test_rotted_block_is_neither_served_nor_stashed(self):
         relation = Relation(make_schema(), ROWS)

@@ -228,6 +228,52 @@ class TestMutations:
             table.delete((1, 1, 1, 1, 1))
 
 
+class TestOneBlockRewrite:
+    """Every mutation is one span choice over one guarded read per block."""
+
+    def durable_mvcc_table(self, schema, tmp_path, **kwargs):
+        rel = make_relation(schema, 300, seed=3)
+        table = Table.from_relation(
+            "t", rel, SimulatedDisk(block_size=256),
+            durable_path=str(tmp_path / "t.wal"), wal_sync=False, **kwargs
+        )
+        table.enable_mvcc()
+        return rel, table
+
+    def test_absent_delete_inside_a_block_changes_nothing(
+        self, schema, tmp_path
+    ):
+        rel, table = self.durable_mvcc_table(schema, tmp_path)
+        storage, mapper = table.storage, schema.mapper
+        first, last = storage.block_range(1)
+        stored = set(storage.read_block_ordinals(1))
+        absent = next(o for o in range(first, last) if o not in stored)
+        assert table.wal.clean_on_disk
+        log_bytes = (tmp_path / "t.wal").read_bytes()
+        csn, stashed = table.mvcc.csn, table.mvcc.stats.stashed
+        assert not table.delete(mapper.phi_inverse(absent))
+        assert table.mvcc.csn == csn
+        assert table.mvcc.stats.stashed == stashed
+        assert table.wal.clean_on_disk
+        assert (tmp_path / "t.wal").read_bytes() == log_bytes
+
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    def test_mutation_reads_its_block_once(self, schema, tmp_path, op):
+        rel, table = self.durable_mvcc_table(
+            schema, tmp_path, secondary_on=["a2"], tuple_index=True
+        )
+        victim = next(iter(rel))
+        disk = table.storage._disk
+        disk.stats.reset()
+        if op == "insert":
+            table.insert(victim)
+        else:
+            assert table.delete(victim)
+        assert disk.stats.blocks_read == 1
+        assert table.mvcc.stats.stashed == 1
+        table.storage.verify_directory()
+
+
 class TestConstruction:
     def test_empty_name_rejected(self, schema):
         disk = SimulatedDisk(block_size=512)

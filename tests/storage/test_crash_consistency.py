@@ -91,9 +91,9 @@ class Oracle:
 def scripted_workload(table, oracle, seed=23):
     """A fixed transactional workload; maintains the oracle as it goes.
 
-    Mixes multi-operation commits, a rollback, autocommit mutations, and
-    enough inserts to force block splits — every mutation class the
-    recovery protocol must survive.
+    Mixes multi-operation commits, a rollback, autocommit mutations,
+    enough inserts to force block splits, and a compaction — every
+    mutation class the recovery protocol must survive.
     """
     rng = random.Random(seed)
     existing = sorted(oracle.committed)
@@ -152,7 +152,11 @@ def scripted_workload(table, oracle, seed=23):
     table.delete(victim)
     oracle.committed = shrunk
     oracle.maybe = None
-    # Transaction 4: one more commit after the autocommits.
+    # A clean log, then a compaction: it rewrites blocks in place, so a
+    # crash at any of its writes must leave a log that rebuilds.
+    table.checkpoint()
+    table.compact()
+    # Transaction 4: one more commit after the compaction.
     run_txn([("insert", fresh()) for _ in range(2)], "commit")
 
 

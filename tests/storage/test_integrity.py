@@ -216,6 +216,44 @@ class TestRepairEngine:
         assert ei.value.detected_by == "directory"
 
 
+class TestWalImageReuse:
+    def test_ten_rotted_blocks_take_one_replay(self, tmp_path, monkeypatch):
+        from repro.db.query import RangeQuery
+        from repro.db.table import Table
+        from repro.relational.encoding import SchemaInferencer
+        from repro.relational.relation import Relation
+        from repro.storage import integrity
+
+        values = [(i, i % 9, i % 4) for i in range(600)]
+        schema = SchemaInferencer().infer(values, ["a", "b", "c"])
+        disk = FaultyDisk(block_size=128, injector=FaultInjector(seed=0))
+        table = Table.from_relation(
+            "t", Relation.from_values(schema, values), disk,
+            durable_path=str(tmp_path / "t.wal"), wal_sync=False,
+            degraded_reads="repair",
+        )
+        for i in range(5):
+            table.insert((i, 1, 1))
+        expected = table.select(RangeQuery([])).tuples
+        assert table.num_blocks >= 10
+        for block_id in table.storage.block_ids[:10]:
+            disk.rot_block(block_id)
+        replays = []
+
+        def counted(path):
+            replays.append(path)
+            return committed(path)
+
+        committed = integrity.committed_ordinals
+        monkeypatch.setattr(integrity, "committed_ordinals", counted)
+        assert table.select(RangeQuery([])).tuples == expected
+        assert len(replays) == 1
+        table.insert((1, 2, 3))  # the log grew: the next repair replays
+        disk.rot_block(table.storage.block_ids[-1])
+        table.select(RangeQuery([]))
+        assert len(replays) == 2
+
+
 class TestIntegrityManager:
     def test_rejects_unknown_policy(self):
         table = make_storage()
