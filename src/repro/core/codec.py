@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.phi import OrdinalMapper
 from repro.core.representative import get_strategy
 from repro.core.runlength import TupleLayout, rle_decode, rle_encode
@@ -46,6 +48,8 @@ from repro.errors import BlockOverflowError, CodecError, DomainError
 from repro.obs import runtime as _obs
 
 if TYPE_CHECKING:  # imported lazily at runtime to break the cycle
+    from numpy.typing import NDArray
+
     from repro.core.vectorized import VectorizedBlockCodec
 
 __all__ = ["BlockCodec", "HEADER_BYTES"]
@@ -106,6 +110,8 @@ class BlockCodec:
         self._strategy_name = representative
         self._strategy = get_strategy(representative)
         self._vector: Optional["VectorizedBlockCodec"] = None
+        #: The vector codec when its decode is overflow-safe too.
+        self._vector_decode: Optional["VectorizedBlockCodec"] = None
         if vectorized is not False:
             # Runtime import: repro.core.vectorized imports this module
             # for the block-layout constants.
@@ -118,6 +124,8 @@ class BlockCodec:
                     "median representative, and an ordinal space that "
                     "fits int64"
                 )
+            if self._vector is not None and self._vector.decode_supported:
+                self._vector_decode = self._vector
 
     # ------------------------------------------------------------------
     # Introspection
@@ -256,20 +264,13 @@ class BlockCodec:
                 f"block holds {u} tuples; the 2-byte count field allows at "
                 f"most {MAX_TUPLES_PER_BLOCK}"
             )
-        reg = _obs.REGISTRY
-        t0 = _obs.now_ms() if reg is not None else 0.0
+        t0 = _obs.now_ms() if _obs.REGISTRY is not None else 0.0
         if self._vector is not None:
             # None here means the input needs the scalar path's precise
             # per-tuple validation errors; fall through to produce them.
             vec_payload = self._vector.try_encode_block(tuples, capacity)
             if vec_payload is not None:
-                if reg is not None:
-                    reg.inc("codec.blocks_encoded")
-                    reg.inc("codec.tuples_encoded", u)
-                    reg.inc("codec.bytes_encoded", len(vec_payload))
-                    reg.inc("codec.vector_encodes")
-                    reg.observe("codec.encode_ms", _obs.now_ms() - t0)
-                return vec_payload
+                return _encoded(t0, u, vec_payload, "codec.vector_encodes")
         ordinals = sorted(self._mapper.phi(t) for t in tuples)
         rep = self._strategy(ordinals)
 
@@ -286,14 +287,7 @@ class BlockCodec:
             raise BlockOverflowError(
                 f"{u} tuples encode to more than {capacity} bytes"
             )
-        payload = writer.getvalue()
-        if reg is not None:
-            reg.inc("codec.blocks_encoded")
-            reg.inc("codec.tuples_encoded", u)
-            reg.inc("codec.bytes_encoded", len(payload))
-            reg.inc("codec.scalar_encodes")
-            reg.observe("codec.encode_ms", _obs.now_ms() - t0)
-        return payload
+        return _encoded(t0, u, writer.getvalue(), "codec.scalar_encodes")
 
     def encode_ordinals(
         self,
@@ -303,33 +297,20 @@ class BlockCodec:
         """Encode an *ascending* phi-ordinal run directly into one block.
 
         The no-tuple-expansion twin of :meth:`encode_block` for callers
-        that already hold sorted ordinals (block mutation, repair,
-        bulk load): on the vectorised path the ``phi_inverse`` →
-        ``phi`` round trip is skipped entirely.  Byte-identical to
-        ``encode_block`` over the same tuples; ``sorted_ordinals`` must
-        be ascending and in ``[0, ||R||)``.
+        that already hold sorted ordinals (block writes, repair, bulk
+        load, the container writer): on the vectorised path the
+        ``phi_inverse`` → ``phi`` round trip is skipped entirely.
+        Byte-identical to ``encode_block`` over the same tuples;
+        ``sorted_ordinals`` must be ascending and in ``[0, ||R||)``.
         """
-        u = len(sorted_ordinals)
-        if u == 0:
-            raise CodecError("cannot encode an empty block")
-        if u > MAX_TUPLES_PER_BLOCK:
-            raise CodecError(
-                f"block holds {u} tuples; the 2-byte count field allows at "
-                f"most {MAX_TUPLES_PER_BLOCK}"
-            )
-        if self._vector is not None:
-            reg = _obs.REGISTRY
-            t0 = _obs.now_ms() if reg is not None else 0.0
-            payload = self._vector.encode_run(sorted_ordinals, capacity)
-            if reg is not None:
-                reg.inc("codec.blocks_encoded")
-                reg.inc("codec.tuples_encoded", u)
-                reg.inc("codec.bytes_encoded", len(payload))
-                reg.inc("codec.vector_encodes")
-                reg.observe("codec.encode_ms", _obs.now_ms() - t0)
-            return payload
-        tuples = [self._mapper.phi_inverse(o) for o in sorted_ordinals]
-        return self.encode_block(tuples, capacity=capacity)
+        if self._vector is None:
+            tuples = [self._mapper.phi_inverse(o) for o in sorted_ordinals]
+            return self.encode_block(tuples, capacity=capacity)
+        t0 = _obs.now_ms() if _obs.REGISTRY is not None else 0.0
+        payload = self._vector.encode_run(sorted_ordinals, capacity)
+        return _encoded(
+            t0, len(sorted_ordinals), payload, "codec.vector_encodes"
+        )
 
     # ------------------------------------------------------------------
     # Decoding
@@ -342,44 +323,14 @@ class BlockCodec:
         original tuples are recovered exactly.  Trailing slack bytes beyond
         the encoded payload are ignored, matching on-disk blocks.
         """
-        reg = _obs.REGISTRY
-        t0 = _obs.now_ms() if reg is not None else 0.0
-        if self._vector is not None and self._vector.decode_supported:
-            tuples = self._vector.decode_block(data)
-            if reg is not None:
-                reg.inc("codec.blocks_decoded")
-                reg.inc("codec.tuples_decoded", len(tuples))
-                reg.inc("codec.vector_decodes")
-                reg.observe("codec.decode_ms", _obs.now_ms() - t0)
-            return tuples
-        reader = StreamReader(data)
-        u = reader.read_uint(2)
-        if u == 0:
-            raise CodecError("corrupt block: zero tuple count")
-        rep = reader.read_uint(2)
-        if rep >= u:
-            raise CodecError(f"corrupt block: representative {rep} >= count {u}")
-        m = self._layout.tuple_bytes
-        rep_tuple = self._layout.tuple_from_bytes(reader.read(m))
-        rep_ordinal = self._mapper.phi(rep_tuple)
-
-        diffs: List[int] = []
-        for _ in range(u - 1):
-            count = reader.read_uint(1)
-            if count > m:
-                raise CodecError(f"corrupt block: run length {count} > tuple width {m}")
-            tail = reader.read(m - count)
-            diffs.append(
-                self._mapper.phi_unchecked(rle_decode(self._layout, count, tail))
-            )
-
-        ordinals = self._reconstruct_ordinals(u, rep, rep_ordinal, diffs)
-        tuples = [self._mapper.phi_inverse(o) for o in ordinals]
-        if reg is not None:
-            reg.inc("codec.blocks_decoded")
-            reg.inc("codec.tuples_decoded", u)
-            reg.inc("codec.scalar_decodes")
-            reg.observe("codec.decode_ms", _obs.now_ms() - t0)
+        t0 = _obs.now_ms() if _obs.REGISTRY is not None else 0.0
+        if self._vector_decode is not None:
+            tuples = self._vector_decode.decode_block(data)
+        else:
+            tuples = [
+                self._mapper.phi_inverse(o) for o in self._scalar_ordinals(data)
+            ]
+        _decoded(t0, self._vector_decode is not None, tuples=len(tuples))
         return tuples
 
     def decode_ordinals(self, data: bytes) -> List[int]:
@@ -388,15 +339,38 @@ class BlockCodec:
         Index probes only need phi values, so skipping the final
         ``phi_inverse`` saves most of the decode cost for those callers.
         """
-        reg = _obs.REGISTRY
-        t0 = _obs.now_ms() if reg is not None else 0.0
-        if self._vector is not None and self._vector.decode_supported:
-            vec_ordinals = self._vector.decode_ordinals(data)
-            if reg is not None:
-                reg.inc("codec.ordinal_decodes")
-                reg.inc("codec.vector_decodes")
-                reg.observe("codec.decode_ms", _obs.now_ms() - t0)
-            return vec_ordinals
+        t0 = _obs.now_ms() if _obs.REGISTRY is not None else 0.0
+        if self._vector_decode is not None:
+            ordinals = self._vector_decode.decode_ordinals(data)
+        else:
+            ordinals = self._scalar_ordinals(data)
+        _decoded(t0, self._vector_decode is not None)
+        return ordinals
+
+    def decode_ordinals_array(self, data: bytes) -> "NDArray[np.int64]":
+        """One block's sorted ordinals as an int64 array, counted.
+
+        The one array decode every int64 reader calls (selects, the
+        ordinal cache, mutations, the container reader): the vector
+        decoder where it is overflow-safe, else the scalar decode and
+        one ``np.asarray``.  Counted like :meth:`decode_ordinals`.
+        Spaces above 2**61 raise :class:`~repro.errors.DomainError`;
+        their readers use :meth:`decode_ordinals`.
+        """
+        if not self._mapper.fits_int64:
+            raise DomainError(
+                "ordinal space exceeds int64; use decode_ordinals"
+            )
+        t0 = _obs.now_ms() if _obs.REGISTRY is not None else 0.0
+        if self._vector_decode is not None:
+            ordinals = self._vector_decode.decode_ordinals_array(data)
+        else:
+            ordinals = np.asarray(self._scalar_ordinals(data), dtype=np.int64)
+        _decoded(t0, self._vector_decode is not None)
+        return ordinals
+
+    def _scalar_ordinals(self, data: bytes) -> List[int]:
+        """The specification decode: a payload to its sorted ordinals."""
         reader = StreamReader(data)
         u = reader.read_uint(2)
         if u == 0:
@@ -416,12 +390,7 @@ class BlockCodec:
             diffs.append(
                 self._mapper.phi_unchecked(rle_decode(self._layout, count, tail))
             )
-        ordinals = self._reconstruct_ordinals(u, rep, rep_ordinal, diffs)
-        if reg is not None:
-            reg.inc("codec.ordinal_decodes")
-            reg.inc("codec.scalar_decodes")
-            reg.observe("codec.decode_ms", _obs.now_ms() - t0)
-        return ordinals
+        return self._reconstruct_ordinals(u, rep, rep_ordinal, diffs)
 
     def _reconstruct_ordinals(
         self, u: int, rep: int, rep_ordinal: int, diffs: List[int]
@@ -451,3 +420,31 @@ class BlockCodec:
                     f"corrupt block: reconstructed ordinal {o} outside tuple space"
                 )
         return result
+
+
+def _encoded(t0: float, u: int, payload: bytes, counter: str) -> bytes:
+    """Count one block encode of ``u`` tuples when metrics are on, under
+    ``counter`` (the vector or scalar one) too, and pass it through."""
+    reg = _obs.REGISTRY
+    if reg is not None:
+        reg.inc("codec.blocks_encoded")
+        reg.inc("codec.tuples_encoded", u)
+        reg.inc("codec.bytes_encoded", len(payload))
+        reg.inc(counter)
+        reg.observe("codec.encode_ms", _obs.now_ms() - t0)
+    return payload
+
+
+def _decoded(t0: float, vector: bool, *, tuples: Optional[int] = None) -> None:
+    """Count one decode when metrics are on: a block decode when
+    ``tuples`` is given, else an ordinal decode."""
+    reg = _obs.REGISTRY
+    if reg is None:
+        return
+    if tuples is None:
+        reg.inc("codec.ordinal_decodes")
+    else:
+        reg.inc("codec.blocks_decoded")
+        reg.inc("codec.tuples_decoded", tuples)
+    reg.inc("codec.vector_decodes" if vector else "codec.scalar_decodes")
+    reg.observe("codec.decode_ms", _obs.now_ms() - t0)

@@ -25,12 +25,17 @@ decode a single forward prefix-sum.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.bits import BitReader, BitWriter
 from repro.core.phi import OrdinalMapper
 from repro.core.runlength import TupleLayout
-from repro.errors import BlockOverflowError, CodecError
+from repro.errors import BlockOverflowError, CodecError, DomainError
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = ["GolombBlockCodec", "choose_rice_parameter"]
 
@@ -116,13 +121,24 @@ class GolombBlockCodec:
         capacity: Optional[int] = None,
     ) -> bytes:
         """Encode a block; raises on overflow when ``capacity`` is given."""
-        u = len(tuples)
+        return self.encode_ordinals(
+            sorted(self._mapper.phi(t) for t in tuples), capacity
+        )
+
+    def encode_ordinals(
+        self,
+        sorted_ordinals: Sequence[int],
+        capacity: Optional[int] = None,
+    ) -> bytes:
+        """Encode an ascending phi-ordinal run (the block-write hook)."""
+        u = len(sorted_ordinals)
         if u == 0:
             raise CodecError("cannot encode an empty block")
         if u > 0xFFFF:
             raise CodecError(f"block of {u} tuples exceeds the count field")
-        ordinals = sorted(self._mapper.phi(t) for t in tuples)
-        gaps = [ordinals[i + 1] - ordinals[i] for i in range(u - 1)]
+        gaps = [
+            sorted_ordinals[i + 1] - sorted_ordinals[i] for i in range(u - 1)
+        ]
         k = choose_rice_parameter(gaps)
 
         writer = BitWriter()
@@ -135,7 +151,9 @@ class GolombBlockCodec:
         out += u.to_bytes(2, "big")
         out.append(k)
         out += writer.bit_length.to_bytes(4, "big")
-        out += self._layout.tuple_to_bytes(self._mapper.phi_inverse(ordinals[0]))
+        out += self._layout.tuple_to_bytes(
+            self._mapper.phi_inverse(sorted_ordinals[0])
+        )
         out += payload
         if capacity is not None and len(out) > capacity:
             raise BlockOverflowError(
@@ -143,12 +161,21 @@ class GolombBlockCodec:
             )
         return bytes(out)
 
-    def decode_ordinals(self, data: bytes) -> List[int]:
-        """Decode a block to phi ordinals only (storage-protocol hook)."""
-        return [self._mapper.phi(t) for t in self.decode_block(data)]
-
     def decode_block(self, data: bytes) -> List[Tuple[int, ...]]:
         """Exact inverse of :meth:`encode_block`."""
+        return [self._mapper.phi_inverse(o) for o in self.decode_ordinals(data)]
+
+    def decode_ordinals_array(self, data: bytes) -> "NDArray[np.int64]":
+        """A block's sorted ordinals as an int64 array (the array-read
+        hook; the space must fit int64)."""
+        if not self._mapper.fits_int64:
+            raise DomainError(
+                "ordinal space exceeds int64; use decode_ordinals"
+            )
+        return np.asarray(self.decode_ordinals(data), dtype=np.int64)
+
+    def decode_ordinals(self, data: bytes) -> List[int]:
+        """Decode a block to its sorted phi ordinals."""
         if len(data) < GOLOMB_HEADER_BYTES:
             raise CodecError("corrupt Golomb block: short header")
         u = int.from_bytes(data[0:2], "big")
@@ -180,4 +207,4 @@ class GolombBlockCodec:
                     "corrupt Golomb block: ordinal outside tuple space"
                 )
             out.append(ordinal)
-        return [self._mapper.phi_inverse(o) for o in out]
+        return out

@@ -11,14 +11,17 @@ Two implementations are provided:
 
 * :class:`OrdinalMapper` — exact arbitrary-precision Python integers;
   always correct, used whenever the space size ``||R||`` may exceed 2**63.
-* :func:`phi_array` / :func:`phi_inverse_array` — vectorised numpy paths
-  used by the workload generator and the experiment drivers when the space
-  fits comfortably in ``int64``.
+* its array methods (:meth:`OrdinalMapper.phi_array`,
+  :meth:`~OrdinalMapper.phi_inverse_array`, :meth:`~OrdinalMapper.digits`)
+  — the one batch phi, over int64 arrays, for spaces that fit
+  comfortably in ``int64``.  The codec, the block filter, the container
+  reader and relation loading all use them; :func:`phi_array` and
+  :func:`phi_inverse_array` are the same over bare domain sizes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +63,7 @@ class OrdinalMapper:
     (3, 8, 36, 39, 35)
     """
 
-    __slots__ = ("_sizes", "_weights", "_space_size")
+    __slots__ = ("_sizes", "_weights", "_space_size", "_operands")
 
     def __init__(self, domain_sizes: Sequence[int]) -> None:
         self._sizes = _validate_sizes(domain_sizes)
@@ -70,6 +73,13 @@ class OrdinalMapper:
             weights[i] = weights[i + 1] * self._sizes[i + 1]
         self._weights = tuple(weights)
         self._space_size = self._weights[0] * self._sizes[0]
+        # The array methods' int64 weights and sizes, built once.
+        self._operands: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if self.fits_int64:
+            self._operands = (
+                np.asarray(self._weights, dtype=np.int64),
+                np.asarray(self._sizes, dtype=np.int64),
+            )
 
     @property
     def domain_sizes(self) -> Tuple[int, ...]:
@@ -145,6 +155,69 @@ class OrdinalMapper:
         """Apply :meth:`phi` to every row, returning a list of ordinals."""
         return [self.phi(row) for row in rows]
 
+    def phi_array(self, rows: np.ndarray) -> np.ndarray:
+        """Equation 2.2 over a ``(u, n)`` integer array, validated.
+
+        Returns a ``(u,)`` int64 array.  Raises
+        :class:`~repro.errors.DomainError` on a shape mismatch, an
+        out-of-domain value, or a space that does not fit int64.
+        """
+        weights, sizes = self._int64_operands()
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.arity:
+            raise DomainError(
+                f"expected shape (num_rows, {self.arity}), got {rows.shape}"
+            )
+        if rows.size and ((rows < 0).any() or (rows >= sizes).any()):
+            raise DomainError("array contains out-of-domain attribute values")
+        return rows @ weights
+
+    def phi_inverse_array(self, ordinals: np.ndarray) -> np.ndarray:
+        """Equations 2.3 through 2.5 over a vector of ordinals.
+
+        Returns a ``(u, n)`` int64 array of tuples; out-of-space
+        ordinals raise :class:`~repro.errors.DomainError`.
+        """
+        self._int64_operands()
+        ordinals = np.asarray(ordinals, dtype=np.int64)
+        if ordinals.size and (
+            ordinals.min() < 0 or ordinals.max() >= self._space_size
+        ):
+            raise DomainError("array contains out-of-space ordinals")
+        out = np.empty((ordinals.shape[0], len(self._sizes)), dtype=np.int64)
+        remainder = ordinals
+        for i, w in enumerate(self._weights):
+            out[:, i], remainder = np.divmod(remainder, w)
+        return out
+
+    def digits(self, ordinals: np.ndarray, position: int) -> np.ndarray:
+        """Attribute ``position`` of each ordinal, without the full inverse.
+
+        The mixed-radix digit ``(o // weights[position]) %
+        domain_sizes[position]`` — column ``position`` of
+        :meth:`phi_inverse_array`, so a predicate on one attribute is a
+        vector test before any tuple is built.
+        """
+        weights, sizes = self._int64_operands()
+        return (ordinals // weights[position]) % sizes[position]
+
+    def phi_inverse_many(
+        self, ordinals: Union[Sequence[int], np.ndarray]
+    ) -> List[Tuple[int, ...]]:
+        """:meth:`phi_inverse` of every ordinal, in one numpy pass when
+        the space fits int64."""
+        if not self.fits_int64:
+            return [self.phi_inverse(o) for o in ordinals]
+        rows = self.phi_inverse_array(np.asarray(ordinals, dtype=np.int64))
+        return list(map(tuple, rows.tolist()))
+
+    def _int64_operands(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._operands is None:
+            raise DomainError(
+                "ordinal space exceeds int64; use the exact scalar methods"
+            )
+        return self._operands
+
     def sort_key(self, values: Sequence[int]) -> int:
         """Ordering rule from Section 2.2: ``t_i < t_j  iff  phi(t_i) < phi(t_j)``.
 
@@ -159,43 +232,10 @@ class OrdinalMapper:
 
 
 def phi_array(rows: np.ndarray, domain_sizes: Sequence[int]) -> np.ndarray:
-    """Vectorised Equation 2.2 over a ``(num_rows, n)`` integer array.
-
-    Only valid when the ordinal space fits in int64; use
-    :class:`OrdinalMapper` otherwise.  Returns a ``(num_rows,)`` int64 array.
-    """
-    mapper = OrdinalMapper(domain_sizes)
-    if not mapper.fits_int64:
-        raise DomainError(
-            "ordinal space exceeds int64; use OrdinalMapper.phi for exact results"
-        )
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[1] != mapper.arity:
-        raise DomainError(
-            f"expected shape (num_rows, {mapper.arity}), got {rows.shape}"
-        )
-    sizes = np.asarray(mapper.domain_sizes, dtype=np.int64)
-    if (rows < 0).any() or (rows >= sizes).any():
-        raise DomainError("array contains out-of-domain attribute values")
-    weights = np.asarray(mapper.weights, dtype=np.int64)
-    return rows @ weights
+    """:meth:`OrdinalMapper.phi_array` for bare domain sizes."""
+    return OrdinalMapper(domain_sizes).phi_array(rows)
 
 
 def phi_inverse_array(ordinals: np.ndarray, domain_sizes: Sequence[int]) -> np.ndarray:
-    """Vectorised Equations 2.3 through 2.5 over a vector of ordinals.
-
-    Returns a ``(num_rows, n)`` int64 array of decoded tuples.
-    """
-    mapper = OrdinalMapper(domain_sizes)
-    if not mapper.fits_int64:
-        raise DomainError(
-            "ordinal space exceeds int64; use OrdinalMapper.phi_inverse instead"
-        )
-    ordinals = np.asarray(ordinals, dtype=np.int64)
-    if (ordinals < 0).any() or (ordinals >= mapper.space_size).any():
-        raise DomainError("array contains out-of-space ordinals")
-    out = np.empty((ordinals.shape[0], mapper.arity), dtype=np.int64)
-    remainder = ordinals.copy()
-    for i, w in enumerate(mapper.weights):
-        out[:, i], remainder = np.divmod(remainder, w)
-    return out
+    """:meth:`OrdinalMapper.phi_inverse_array` for bare domain sizes."""
+    return OrdinalMapper(domain_sizes).phi_inverse_array(ordinals)

@@ -1,10 +1,11 @@
 """The vectorised numpy block codec: whole-block AVQ coding as array ops.
 
 A :class:`VectorizedBlockCodec` runs every stage of the Section 3.4
-block pipeline — batch mixed-radix ``phi``/``phi⁻¹`` over ``(u, n)``
-tuple arrays, gap sizing and greedy block packing, median-representative
-selection, difference chaining, and leading-zero-byte RLE rendering
-*and parsing* — as numpy array ops over a whole block.
+block pipeline — batch ``phi``/``phi⁻¹`` (the mapper's array methods,
+:mod:`repro.core.phi`), gap sizing and greedy block packing,
+median-representative selection, difference chaining, and
+leading-zero-byte RLE rendering *and parsing* — as numpy array ops over
+a whole block.
 
 Every byte it emits is **identical** to the scalar
 :class:`~repro.core.codec.BlockCodec` (the differential suite in
@@ -130,8 +131,6 @@ class VectorizedBlockCodec:
         worst = sum(255 * m for m in mults)
         self._decode_safe = worst < (1 << 63)
         self._byte_weights = np.asarray(mults, dtype=np.int64)
-        self._np_weights = np.asarray(self._mapper.weights, dtype=np.int64)
-        self._np_sizes = np.asarray(self._mapper.domain_sizes, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -161,53 +160,6 @@ class VectorizedBlockCodec:
         through the scalar path.
         """
         return self._decode_safe
-
-    # ------------------------------------------------------------------
-    # Batch phi / phi inverse
-    # ------------------------------------------------------------------
-
-    def phi_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Batch Equation 2.2 over a ``(u, n)`` int array, validated.
-
-        Raises :class:`~repro.errors.DomainError` on shape mismatch or
-        out-of-domain values, mirroring ``OrdinalMapper.phi`` row-wise.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != self._mapper.arity:
-            raise DomainError(
-                f"expected shape (u, {self._mapper.arity}), got {rows.shape}"
-            )
-        if rows.size and ((rows < 0).any() or (rows >= self._np_sizes).any()):
-            raise DomainError("array contains out-of-domain attribute values")
-        return rows @ self._np_weights
-
-    def phi_inverse_rows(self, ordinals: np.ndarray) -> np.ndarray:
-        """Batch Equations 2.3–2.5: ordinals back to a ``(u, n)`` array."""
-        ordinals = np.asarray(ordinals, dtype=np.int64)
-        if ordinals.size and (
-            ordinals.min() < 0 or ordinals.max() >= self._mapper.space_size
-        ):
-            raise DomainError("array contains out-of-space ordinals")
-        out = np.empty(
-            (ordinals.shape[0], self._mapper.arity), dtype=np.int64
-        )
-        remainder = ordinals
-        for i, w in enumerate(self._mapper.weights):
-            out[:, i], remainder = np.divmod(remainder, w)
-        return out
-
-    def attribute_values(
-        self, ordinals: np.ndarray, position: int
-    ) -> np.ndarray:
-        """One attribute column of ``ordinals``, without the full inverse.
-
-        The mixed-radix digit ``(o // weights[position]) %
-        domain_sizes[position]`` — column ``position`` of
-        :meth:`phi_inverse_rows`, so a predicate on one attribute can be
-        tested as a vector mask before any tuple is built.
-        """
-        weight = self._np_weights[position]
-        return (ordinals // weight) % self._np_sizes[position]
 
     # ------------------------------------------------------------------
     # Sizing and packing
@@ -386,7 +338,7 @@ class VectorizedBlockCodec:
         The array analogue of ``BlockCodec.encode_block`` — rows need
         not be pre-sorted.
         """
-        ordinals = self.phi_rows(rows)
+        ordinals = self._mapper.phi_array(rows)
         ordinals.sort()
         return self.encode_run(ordinals, capacity)
 
@@ -407,8 +359,9 @@ class VectorizedBlockCodec:
         *encoding*, not the input) propagates normally.
         """
         try:
-            rows = np.asarray(tuples, dtype=np.int64)
-            ordinals = self.phi_rows(rows)
+            ordinals = self._mapper.phi_array(
+                np.asarray(tuples, dtype=np.int64)
+            )
         except (DomainError, ValueError, TypeError, OverflowError):
             return None
         ordinals.sort()
@@ -451,7 +404,7 @@ class VectorizedBlockCodec:
 
     def decode_tuples_array(self, data: bytes) -> np.ndarray:
         """Decode one payload to its ``(u, n)`` tuple array, phi-ordered."""
-        return self.phi_inverse_rows(self.decode_ordinals_array(data))
+        return self._mapper.phi_inverse_array(self.decode_ordinals_array(data))
 
     def decode_block(self, data: bytes) -> List[Tuple[int, ...]]:
         """Decode one payload to tuples — drop-in for the scalar decoder."""

@@ -72,7 +72,7 @@ def plan(
     leading = next((b for b in bound if b[0] == 0), None)
     if leading is not None:
         return _primary(mapper, directory, leading)
-    probes = _index_plans(bound, indexes)
+    probes = _index_plans(bound, directory, indexes)
     if probes:
         return min(probes, key=lambda p: len(p.block_ids))
     return _scan(directory)
@@ -88,9 +88,16 @@ def _primary(
 
 
 def _index_plans(
-    bound: Sequence[BoundPredicate], indexes: Sequence[ValueIndex]
+    bound: Sequence[BoundPredicate],
+    directory: BlockDirectory,
+    indexes: Sequence[ValueIndex],
 ) -> List[AccessPlan]:
-    """One probe per applicable index, in predicate then index order."""
+    """One probe per applicable index, in predicate then index order.
+
+    An index lists a value's blocks by id; each plan reads them in
+    directory order, so its rows come back in phi order like every
+    other path's, even after splits put higher ids mid-file.
+    """
     plans = []
     for pos, lo, hi in bound:
         for index in indexes:
@@ -111,7 +118,13 @@ def _index_plans(
                         None,
                     )
                 )
-    return plans
+    if not plans:
+        return plans
+    rank = {block_id: i for i, block_id in enumerate(directory.ids)}
+    return [
+        p._replace(block_ids=sorted(p.block_ids, key=rank.__getitem__))
+        for p in plans
+    ]
 
 
 def _scan(directory: BlockDirectory) -> AccessPlan:
@@ -166,7 +179,7 @@ def explain(
     plans = (
         [_primary(mapper, directory, leading)] if leading is not None else []
     )
-    plans += _index_plans(bound, indexes)
+    plans += _index_plans(bound, directory, indexes)
     plans.append(_scan(directory))
     t_cpu = HP_9000_735.t2_ms if compressed else HP_9000_735.t3_ms
     index_s = index_search_time_s(len(directory))

@@ -102,8 +102,8 @@ def filter_tuples(
     """The tuples satisfying every bound predicate, in input order.
 
     The one per-tuple conjunctive test of the block loop
-    (``Table._read_blocks``) on scalar-codec and heap tables, and the
-    oracle the ordinal-space filter is tested against.
+    (``Table._read_blocks``) on tables over spaces above 2**61 and heap
+    tables, and the oracle the ordinal-space filter is tested against.
     """
     return [
         t for t in tuples if all(lo <= t[pos] <= hi for pos, lo, hi in bound)

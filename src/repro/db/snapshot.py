@@ -15,13 +15,15 @@ those track the *current* state.  The planner cuts the epoch's frozen
 freezes it once per publish), exactly as a live select cuts the live
 one, and a point probe finds its one covering block the same way.
 
-On an MVCC-enabled vector-codec table every snapshot, every reader
-thread and the table's own live selects share the table's one
-:class:`OrdinalCache`: ``block_id -> (payload, read-only int64 ordinal
-array)``.  Its version check is the payload itself.  Each read still
-fetches the block (a snapshot through the version store), so the bytes
-are CRC-verified (or come from the stash, which only keeps verified
-bytes); an entry answers only when its payload equals those bytes.
+On an MVCC-enabled table whose ordinal space fits int64, whatever its
+codec, every snapshot, every reader thread and the table's own live
+selects share the table's one :class:`OrdinalCache`: ``block_id ->
+(payload, read-only int64 ordinal array)``, decoded by the codec's one
+counted array decode (:meth:`BlockCodec.decode_ordinals_array`).  Its
+version check is the payload itself.  Each read still fetches the
+block (a snapshot through the version store), so the bytes are
+CRC-verified (or come from the stash, which only keeps verified bytes);
+an entry answers only when its payload equals those bytes.
 Decode is a pure function of the payload, so equal bytes mean an equal
 array, whichever snapshot or block version asked.  Rot at rest changes
 the stored bytes, fails the fetch's CRC check, is quarantined and never
@@ -38,7 +40,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.vectorized import VectorizedBlockCodec
+from repro.core.codec import BlockCodec
+from repro.core.phi import OrdinalMapper
 from repro.db.planner import plan
 from repro.db.query import BoundPredicate, QueryResult, RangeQuery
 from repro.errors import QueryError
@@ -135,7 +138,7 @@ class TableSnapshot:
             csn=self.csn,
             candidates=len(candidates),
             codec_path=table._codec_path(),
-            filter_path="tuple" if table._array_codec() is None else "array",
+            filter_path="array" if table._arrays else "tuple",
         ):
             scan = table._read_blocks(
                 candidates,
@@ -226,7 +229,7 @@ class OrdinalCache:
     in its own tally, so the counts are exact without a lock.
     """
 
-    def __init__(self, codec: VectorizedBlockCodec) -> None:
+    def __init__(self, codec: BlockCodec) -> None:
         self.codec = codec
         self._entries: Dict[int, Tuple[bytes, np.ndarray]] = {}
         self._lock = threading.Lock()
@@ -269,7 +272,7 @@ class OrdinalCache:
             if reg is not None:
                 reg.inc("snapshot.ordinal_cache_hits")
             return entry[1]
-        ordinals = _decode_ordinals(self.codec, payload)
+        ordinals = self.codec.decode_ordinals_array(payload)
         if reg is not None:
             reg.inc("snapshot.ordinal_cache_misses")
         ordinals.setflags(write=False)
@@ -300,24 +303,8 @@ class OrdinalCache:
                 del self._entries[block_id]
 
 
-def _decode_ordinals(vec: VectorizedBlockCodec, payload: bytes) -> np.ndarray:
-    """One block's sorted ordinal array, decoded and counted.
-
-    The counters :meth:`BlockCodec.decode_ordinals` keeps, which this
-    direct call to the vector codec would otherwise bypass.
-    """
-    reg = _obs.REGISTRY
-    t0 = _obs.now_ms() if reg is not None else 0.0
-    ordinals = vec.decode_ordinals_array(payload)
-    if reg is not None:
-        reg.inc("codec.ordinal_decodes")
-        reg.inc("codec.vector_decodes")
-        reg.observe("codec.decode_ms", _obs.now_ms() - t0)
-    return ordinals
-
-
 def _filter_array(
-    vec: VectorizedBlockCodec,
+    mapper: OrdinalMapper,
     ordinals: np.ndarray,
     ordinal_range: Optional[Tuple[int, int]],
     masked: Sequence[BoundPredicate],
@@ -339,9 +326,9 @@ def _filter_array(
     if masked and ordinals.size:
         keep = np.ones(ordinals.size, dtype=bool)
         for pos, lo_value, hi_value in masked:
-            values = vec.attribute_values(ordinals, pos)
+            values = mapper.digits(ordinals, pos)
             keep &= (values >= lo_value) & (values <= hi_value)
         ordinals = ordinals[keep]
     if ordinals.size:
-        out.extend(map(tuple, vec.phi_inverse_rows(ordinals).tolist()))
+        out.extend(mapper.phi_inverse_many(ordinals))
     return size

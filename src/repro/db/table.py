@@ -21,6 +21,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -32,7 +33,6 @@ from typing import (
 import numpy as np
 
 from repro.core.codec import BlockCodec
-from repro.core.phi import phi_inverse_array
 from repro.errors import (
     CorruptionError,
     QuarantinedBlockError,
@@ -47,12 +47,7 @@ from repro.db.query import (
     filter_tuples,
     leading_ordinal_range,
 )
-from repro.db.snapshot import (
-    OrdinalCache,
-    TableSnapshot,
-    _decode_ordinals,
-    _filter_array,
-)
+from repro.db.snapshot import OrdinalCache, TableSnapshot, _filter_array
 from repro.obs import runtime as _obs
 from repro.obs.profile import QueryProfile, QueryProfiler
 from repro.index.hashindex import ExtendibleHashIndex
@@ -74,7 +69,6 @@ from repro.storage.integrity import (
 from repro.storage.wal import RecoveryReport, WriteAheadLog, recover
 
 if TYPE_CHECKING:  # circular at type level only
-    from repro.core.vectorized import VectorizedBlockCodec
     from repro.storage.buffer import BufferPool
     from repro.storage.mvcc import BlockVersionStore
 
@@ -137,13 +131,21 @@ class Table:
         self._hash_indices: Dict[str, ExtendibleHashIndex] = {}
         self._tuple_index: Optional[TupleOrdinalIndex] = None
         self._integrity: Optional[IntegrityManager] = None
+        #: Whether reads decode ordinal arrays and filter them; the
+        #: rest (spaces above 2**61, heap tables) filter tuples.
+        self._arrays = (
+            isinstance(storage, AVQFile) and storage.codec.mapper.fits_int64
+        )
         if isinstance(storage, AVQFile):
-            if tuple_index:
-                self._tuple_index = self._build_tuple_index(storage)
             self._integrity = IntegrityManager(
                 storage, policy=degraded_reads, pool=self._buffer
             )
             self._refresh_repair_engine()
+            if tuple_index:
+                self._tuple_index = TupleOrdinalIndex.build(
+                    self._blocks(), order=index_order
+                )
+                self._refresh_repair_engine()
         elif degraded_reads != "raise" or tuple_index:
             raise QueryError(
                 "online integrity requires compressed storage (heap "
@@ -161,16 +163,6 @@ class Table:
                     for block_id, tuples in storage.iter_blocks()
                 ]
             )
-
-    def _build_tuple_index(self, storage: AVQFile) -> TupleOrdinalIndex:
-        """Index every stored tuple (one block read per block)."""
-        return TupleOrdinalIndex.build(
-            (
-                (storage.block_id_at(p), storage.read_block_ordinals(p))
-                for p in range(storage.num_blocks)
-            ),
-            order=self._index_order,
-        )
 
     def _refresh_repair_engine(self) -> None:
         """(Re)wire the repair engine to the current index set."""
@@ -317,10 +309,7 @@ class Table:
             return existing
         position = self._schema.position(attribute)
         idx = SecondaryIndex.build(
-            attribute,
-            position,
-            self._storage.iter_blocks(),
-            order=self._index_order,
+            attribute, position, self._block_tuples(), order=self._index_order
         )
         self._secondaries[attribute] = idx
         self._refresh_repair_engine()
@@ -338,7 +327,7 @@ class Table:
             return existing
         position = self._schema.position(attribute)
         idx = ExtendibleHashIndex.build(
-            attribute, position, self._storage.iter_blocks()
+            attribute, position, self._block_tuples()
         )
         self._hash_indices[attribute] = idx
         return idx
@@ -529,42 +518,28 @@ class Table:
         the commit boundary is transaction commit/abort; otherwise each
         top-level mutation publishes (statement-level consistency).
 
-        A table whose vector codec can decode also gets its
-        :attr:`ordinal_cache`, which every select reads through.
+        A table whose ordinal space fits int64 also gets its
+        :attr:`ordinal_cache`, which every read goes through.
         """
         storage = self._require_avq("enable_mvcc")
         if self._mvcc is None:
             from repro.storage.mvcc import BlockVersionStore
 
             self._mvcc = BlockVersionStore(storage.block_directory)
-            vec = self._array_codec()
-            if vec is not None:
-                self._ordinals = OrdinalCache(vec)
+            if self._arrays:
+                self._ordinals = OrdinalCache(storage.codec)
         return self._mvcc
 
     @property
     def ordinal_cache(self) -> Optional[OrdinalCache]:
         """Decoded ordinal arrays shared by every select, or ``None``.
 
-        Present once :meth:`enable_mvcc` ran on a table whose vector
-        codec can decode.  Without it such a table decodes every block
-        it reads; scalar-codec and heap tables filter tuples instead.
+        Present once :meth:`enable_mvcc` ran on a table whose ordinal
+        space fits int64, whatever its codec.  Without it such a table
+        decodes every block it reads; tables over wider spaces and heap
+        tables filter tuples instead.
         """
         return self._ordinals
-
-    def _array_codec(self) -> Optional["VectorizedBlockCodec"]:
-        """The vector codec selects decode and filter ordinals with.
-
-        ``None`` for heap tables, scalar-codec tables and vector codecs
-        whose decode is not provably safe; those filter tuples.
-        """
-        if self._ordinals is not None:
-            return self._ordinals.codec
-        codec = getattr(self._storage, "codec", None)
-        vec = getattr(codec, "vector_codec", None)
-        if vec is not None and vec.decode_supported:
-            return vec
-        return None
 
     def read_snapshot(self) -> "TableSnapshot":
         """A pinned, consistent read-only view of the committed state.
@@ -620,11 +595,11 @@ class Table:
         For each block id, in order: poll ``should_cancel``; fetch the
         payload from ``source`` behind the quarantine check and the
         integrity guard (:meth:`_fetch_guarded`); decode it; filter it.
-        A table with an :attr:`ordinal_cache` decodes through it, any
-        other decode-capable vector codec decodes to an ordinal array
-        directly, and both filter in ordinal space (``leading``, the
-        leading-attribute predicate, becomes one slice).  Scalar-codec
-        and heap tables decode tuples and run :func:`filter_tuples`.
+        A table whose ordinal space fits int64 decodes an ordinal array
+        (:meth:`_decode`) and filters it in ordinal space (``leading``,
+        the leading-attribute predicate, becomes one slice).  Tables
+        over wider spaces and heap tables decode tuples and run
+        :func:`filter_tuples`.
         Under the "skip" policy a quarantined block is listed in
         ``skipped`` instead of raising, unless ``allow_skip`` is false:
         an answer that cannot name what it left out (an aggregate, a
@@ -634,12 +609,10 @@ class Table:
         them).
         """
         cache = self._ordinals
-        vec = self._array_codec()
+        mapper = self._schema.mapper
         ordinal_range = None
         if leading is not None:
-            ordinal_range = leading_ordinal_range(
-                self._schema.mapper, leading[1], leading[2]
-            )
+            ordinal_range = leading_ordinal_range(mapper, leading[1], leading[2])
         masked = [b for b in bound if b is not leading]
         skip = allow_skip and self._skip_degraded()
         tally0 = cache.tally() if cache is not None else (0, 0)
@@ -661,20 +634,17 @@ class Table:
                     raise
                 skipped.append(block_id)
                 continue
-            if vec is None:
+            if self._arrays:
+                ordinals = self._decode(block_id, payload)
+                t1 = _obs.now_ms()
+                examined += _filter_array(
+                    mapper, ordinals, ordinal_range, masked, out
+                )
+            else:
                 tuples = self._storage.decode_payload(payload)
                 t1 = _obs.now_ms()
                 examined += len(tuples)
                 out.extend(filter_tuples(tuples, bound))
-            else:
-                if cache is not None:
-                    ordinals = cache.ordinals(block_id, payload)
-                else:
-                    ordinals = _decode_ordinals(vec, payload)
-                t1 = _obs.now_ms()
-                examined += _filter_array(
-                    vec, ordinals, ordinal_range, masked, out
-                )
             t2 = _obs.now_ms()
             fetch_ms += t1 - t0
             filter_ms += t2 - t1
@@ -689,6 +659,45 @@ class Table:
             filter_ms=filter_ms,
             cache_hits=tally[0] - tally0[0],
             cache_misses=tally[1] - tally0[1],
+        )
+
+    def _decode(self, block_id: int, payload: bytes) -> np.ndarray:
+        """A fetched block's sorted ordinal array (int64 tables only):
+        through the :attr:`ordinal_cache` when the table has one, else
+        the codec's one counted array decode."""
+        if self._ordinals is not None:
+            return self._ordinals.ordinals(block_id, payload)
+        return self._require_avq("decode").codec.decode_ordinals_array(payload)
+
+    def _read_ordinals(self, block_id: int) -> Tuple[bytes, List[int]]:
+        """One block's verified payload and sorted ordinals, read behind
+        the guard (:meth:`_fetch_guarded`) like a select's: how every
+        mutation and whole-file read reads a block."""
+        payload = self._fetch_guarded(block_id, self._current_payload)
+        ordinals: List[int]
+        if self._arrays:
+            ordinals = self._decode(block_id, payload).tolist()
+        else:
+            ordinals = self._require_avq("decode").codec.decode_ordinals(
+                payload
+            )
+        return payload, ordinals
+
+    def _blocks(self) -> Iterator[Tuple[int, List[int]]]:
+        """Every block's id and sorted ordinals, in phi order, each read
+        by :meth:`_read_ordinals`: the whole-file read behind
+        checkpoints and index builds."""
+        for block_id in list(self._directory().ids):
+            yield block_id, self._read_ordinals(block_id)[1]
+
+    def _block_tuples(self) -> Iterator[Tuple[int, List[Tuple[int, ...]]]]:
+        """Every block's id and phi-ordered tuples (index builds)."""
+        if not isinstance(self._storage, AVQFile):
+            return self._storage.iter_blocks()
+        mapper = self._schema.mapper
+        return (
+            (block_id, mapper.phi_inverse_many(ordinals))
+            for block_id, ordinals in self._blocks()
         )
 
     def _codec_path(self) -> str:
@@ -826,7 +835,9 @@ class Table:
             raise QueryError(
                 "cannot checkpoint while a transaction is active"
             )
-        self._wal.checkpoint(storage.all_ordinals())
+        self._wal.checkpoint(
+            [o for _, ordinals in self._blocks() for o in ordinals]
+        )
         self._wal.write_clean(storage.directory_entries_checked())
 
     def close(self) -> None:
@@ -943,17 +954,6 @@ class Table:
         self._schema.mapper.validate(t)
         return self._schema.mapper.phi(t)
 
-    def _tuples_of(self, ordinals: Sequence[int]) -> List[Sequence[int]]:
-        """Sorted ordinals back to tuples, in one numpy pass when the
-        ordinal space fits int64."""
-        mapper = self._schema.mapper
-        if not mapper.fits_int64:
-            return [mapper.phi_inverse(o) for o in ordinals]
-        rows: List[Sequence[int]] = phi_inverse_array(
-            np.asarray(ordinals, dtype=np.int64), mapper.domain_sizes
-        ).tolist()
-        return rows
-
     def _mutate(
         self,
         choose: Callable[[OrdinalReader], Optional[Span]],
@@ -978,14 +978,8 @@ class Table:
 
         def read(position: int) -> List[int]:
             block_id = storage.block_id_at(position)
-            payload = self._fetch_guarded(block_id, self._current_payload)
-            fetched[block_id] = payload
-            if self._ordinals is not None:
-                ordinals: List[int] = self._ordinals.ordinals(
-                    block_id, payload
-                ).tolist()
-                return ordinals
-            return storage.codec.decode_ordinals(payload)
+            fetched[block_id], ordinals = self._read_ordinals(block_id)
+            return ordinals
 
         span = choose(read)
         if span is None:
@@ -1007,9 +1001,10 @@ class Table:
         if indices:
             old = dict(zip(change.old_ids, change.old_runs))
             new = dict(zip(change.new_ids, change.new_runs))
+            mapper = self._schema.mapper
             for block_id in dict.fromkeys(change.old_ids + change.new_ids):
-                before = self._tuples_of(old.get(block_id, ()))
-                after = self._tuples_of(new.get(block_id, ()))
+                before = mapper.phi_inverse_many(old.get(block_id, ()))
+                after = mapper.phi_inverse_many(new.get(block_id, ()))
                 for idx in indices:
                     idx.reindex_block(block_id, before, after)
         if logged is not None:

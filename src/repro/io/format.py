@@ -39,12 +39,13 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.core.codec import BlockCodec
-from repro.core.phi import OrdinalMapper, phi_inverse_array
 from repro.errors import CorruptionError, QuarantinedBlockError, StorageError
 from repro.io.schema_json import schema_from_dict, schema_to_dict
 from repro.obs import runtime as _obs
@@ -54,7 +55,10 @@ from repro.storage.block import DEFAULT_BLOCK_SIZE
 from repro.storage.directory import BlockDirectory, DecodedRun
 from repro.storage.packer import pack_runs
 
-__all__ = ["write_avq_file", "AVQFileReader", "read_avq_file"]
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
+
+__all__ = ["write_avq_file", "write_container", "AVQFileReader", "read_avq_file"]
 
 _MAGIC = b"AVQ1"
 _VERSION = 1
@@ -102,32 +106,18 @@ def _write_avq_file(
     *,
     block_size: int,
 ) -> Dict[str, int]:
-    """The :func:`write_avq_file` body, minus validation and telemetry."""
-    ordinals = relation.phi_ordinals()
+    """The :func:`write_avq_file` body, minus validation and telemetry.
 
-    payloads: List[bytes] = []
-    directory: List[List[Union[int, str]]] = []
-    runs: Sequence[Sequence[int]]
-    vec = codec.vector_codec if ordinals else None
-    if vec is not None:
-        arr = np.asarray(ordinals, dtype=np.int64)
-        boundaries = vec.pack_boundaries(arr, block_size)
-        runs = [ordinals[start:end] for start, end in boundaries]
-        with _obs.span("codec.encode", blocks=len(runs), path="vector"):
-            payloads = [
-                vec.encode_run(arr[start:end]) for start, end in boundaries
-            ]
-    else:
-        runs = pack_runs(codec, ordinals, block_size)
-        with _obs.span("codec.encode", blocks=len(runs), path="scalar"):
-            for run in runs:
-                tuples = [codec.mapper.phi_inverse(o) for o in run]
-                payloads.append(codec.encode_block(tuples))
-    for run, payload in zip(runs, payloads):
-        directory.append(
-            [len(payload), len(run), str(run[0]), zlib.crc32(payload)]
-        )
-
+    Packs and encodes exactly as :meth:`AVQFile.build` does
+    (:func:`pack_runs`, then :meth:`BlockCodec.encode_ordinals` per run).
+    """
+    runs = pack_runs(codec, relation.phi_ordinals(), block_size)
+    with _obs.span(
+        "codec.encode",
+        blocks=len(runs),
+        path="vector" if codec.vectorized else "scalar",
+    ):
+        payloads = [codec.encode_ordinals(run) for run in runs]
     header = {
         "schema": schema_to_dict(relation.schema),
         "codec": {
@@ -136,10 +126,31 @@ def _write_avq_file(
         },
         "block_size": block_size,
         "num_tuples": len(relation),
-        "blocks": directory,
+        "blocks": [
+            [len(payload), len(run), str(run[0]), zlib.crc32(payload)]
+            for run, payload in zip(runs, payloads)
+        ],
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    write_container(path, header, payloads)
+    return {
+        "blocks": len(payloads),
+        "tuples": len(relation),
+        "payload_bytes": sum(len(p) for p in payloads),
+        "file_bytes": os.path.getsize(path),
+        "fixed_width_bytes": relation.uncompressed_bytes(),
+    }
 
+
+def write_container(
+    path: str, header: Dict[str, Any], payloads: Sequence[bytes]
+) -> None:
+    """Atomically write a container: magic, version, header JSON and
+    payloads go to a temp file that then replaces ``path``.
+
+    The one writer of the framing: :func:`write_avq_file` and every
+    :mod:`repro.io.scrub` rewrite call it.
+    """
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     tmp_path = path + ".tmp"
     with open(tmp_path, "wb") as f:
         f.write(_MAGIC)
@@ -149,15 +160,6 @@ def _write_avq_file(
         for payload in payloads:
             f.write(payload)
     os.replace(tmp_path, path)
-
-    payload_bytes = sum(len(p) for p in payloads)
-    return {
-        "blocks": len(payloads),
-        "tuples": len(relation),
-        "payload_bytes": payload_bytes,
-        "file_bytes": os.path.getsize(path),
-        "fixed_width_bytes": relation.uncompressed_bytes(),
-    }
 
 
 class AVQFileReader:
@@ -389,11 +391,28 @@ class AVQFileReader:
             )
         return payload
 
+    def read_ordinals(
+        self, position: int
+    ) -> Union[List[int], "NDArray[np.int64]"]:
+        """One block's sorted ordinals, verified and checked.
+
+        The payload is CRC-verified (:meth:`read_payload`), decoded by
+        the codec's one array decode when the ordinal space fits int64
+        (exact Python integers otherwise), and must be the block its
+        header entry records.
+        """
+        payload = self.read_payload(position)
+        ordinals: Union[List[int], "NDArray[np.int64]"]
+        if self._codec.mapper.fits_int64:
+            ordinals = self._codec.decode_ordinals_array(payload)
+        else:
+            ordinals = self._codec.decode_ordinals(payload)
+        self._check_decoded(position, ordinals)
+        return ordinals
+
     def read_block(self, position: int) -> List[Tuple[int, ...]]:
         """Decode one block to ordinal tuples (localized, per the paper)."""
-        tuples = self._codec.decode_block(self.read_payload(position))
-        self._check_decoded(position, _PhiView(tuples, self._schema.mapper))
-        return tuples
+        return self._schema.mapper.phi_inverse_many(self.read_ordinals(position))
 
     def _check_decoded(self, position: int, ordinals: DecodedRun) -> None:
         """Raise unless a block decoded to the one its entry records."""
@@ -439,57 +458,28 @@ class AVQFileReader:
         self.close()
 
 
-class _PhiView:
-    """Decoded tuples as their phi ordinals, each mapped on access."""
-
-    def __init__(
-        self, tuples: Sequence[Tuple[int, ...]], mapper: OrdinalMapper
-    ) -> None:
-        self._tuples, self._mapper = tuples, mapper
-
-    def __len__(self) -> int:
-        return len(self._tuples)
-
-    def __getitem__(self, index: int) -> int:
-        return self._mapper.phi(self._tuples[index])
-
-
 def read_avq_file(path: str) -> Relation:
     """Decompress a whole container back into an in-memory relation.
 
-    A vector-codec container is read column-wise: each block's
-    verified payload decodes to an int64 ordinal array, checked against
-    its header entry like a block read, and one ``phi_inverse_array``
-    over the concatenation gives the relation's array.  Other
-    containers decode tuple by tuple.
+    When the ordinal space fits int64 the container is read column-wise:
+    each block's ordinal array (:meth:`AVQFileReader.read_ordinals`)
+    and one :meth:`~repro.core.phi.OrdinalMapper.phi_inverse_array`
+    over their concatenation give the relation's array.  Wider spaces
+    decode tuple by tuple.
     """
     with AVQFileReader(path) as reader:
-        vec = reader.codec.vector_codec
+        mapper = reader.schema.mapper
         with _obs.span(
             "codec.decode",
             blocks=reader.num_blocks,
             path="vector" if reader.codec.vectorized else "scalar",
         ):
-            if vec is None or not vec.decode_supported:
+            if not mapper.fits_int64:
                 return Relation(reader.schema, reader.scan())
-            reg = _obs.REGISTRY
-            blocks = []
-            for position in range(reader.num_blocks):
-                payload = reader.read_payload(position)
-                t0 = _obs.now_ms() if reg is not None else 0.0
-                ordinals = vec.decode_ordinals_array(payload)
-                if reg is not None:
-                    # The counters BlockCodec.decode_ordinals keeps,
-                    # which this direct call bypasses.
-                    reg.inc("codec.ordinal_decodes")
-                    reg.inc("codec.vector_decodes")
-                    reg.observe("codec.decode_ms", _obs.now_ms() - t0)
-                reader._check_decoded(position, ordinals)
-                blocks.append(ordinals)
+            blocks = [reader.read_ordinals(p) for p in range(reader.num_blocks)]
             everything = (
                 np.concatenate(blocks) if blocks else np.empty(0, np.int64)
             )
             return Relation.from_array(
-                reader.schema,
-                phi_inverse_array(everything, reader.schema.domain_sizes),
+                reader.schema, mapper.phi_inverse_array(everything)
             )

@@ -24,20 +24,19 @@ existed therefore cannot be repaired (there is nothing to prove
 identity against); they can only be quarantined, or blessed via
 backfill while they still decode cleanly.
 
-All rewrites go through a temp file + ``os.replace``, the same
-atomicity discipline as :func:`repro.io.format.write_avq_file`.
+All rewrites go through :func:`repro.io.format.write_container`, the
+writer :func:`~repro.io.format.write_avq_file` uses: a temp file, then
+``os.replace``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CodecError, StorageError
-from repro.io.format import AVQFileReader
+from repro.io.format import AVQFileReader, write_container
 
 __all__ = [
     "ContainerFinding",
@@ -46,10 +45,6 @@ __all__ = [
     "fsck_container",
     "scrub_container",
 ]
-
-_MAGIC = b"AVQ1"
-_VERSION = 1
-
 
 @dataclass(frozen=True)
 class ContainerFinding:
@@ -166,22 +161,6 @@ def scrub_container(path: str) -> ContainerReport:
     return report
 
 
-def _rewrite_container(
-    path: str, header: Dict[str, object], payloads: List[bytes]
-) -> None:
-    """Atomically replace a container with new header + payloads."""
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(_VERSION.to_bytes(2, "big"))
-        f.write(len(header_bytes).to_bytes(4, "big"))
-        f.write(header_bytes)
-        for payload in payloads:
-            f.write(payload)
-    os.replace(tmp_path, path)
-
-
 def _repair_from_wal(
     reader: AVQFileReader,
     position: int,
@@ -283,7 +262,7 @@ def fsck_container(
                 }
             else:
                 header.pop("quarantined", None)
-            _rewrite_container(path, header, payloads)
+            write_container(path, header, payloads)
 
     if report.repaired:
         _verify_repairs(path, report.repaired)

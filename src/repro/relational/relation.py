@@ -173,9 +173,7 @@ class Relation:
         """
         mapper = self._schema.mapper
         if mapper.fits_int64:
-            from repro.core.phi import phi_array
-
-            ordinals = phi_array(self.to_array(), mapper.domain_sizes)
+            ordinals = mapper.phi_array(self.to_array())
             ordinals.sort()
             out: List[int] = ordinals.tolist()
             return out

@@ -98,12 +98,10 @@ class AVQFile:
     ) -> "AVQFile":
         """Sort, pack, code, and write a relation to ``disk``.
 
-        Packing takes the numpy boundary scan whenever
-        :func:`~repro.core.vectorized.numpy_packer_for` allows it, and
-        the default codec configuration (chained, median representative)
-        takes the vectorised encode path when the ordinal space fits
-        int64; the output is byte-identical to the scalar path
-        (property-tested in ``tests/core/test_fastpack.py``).
+        Packing is :func:`~repro.storage.packer.pack_runs` and each run
+        is encoded by :meth:`BlockCodec.encode_ordinals`, which alone
+        picks the vector or scalar encoder; the output is byte-identical
+        either way (property-tested in ``tests/core/test_fastpack.py``).
         """
         f = cls(relation.schema, disk, codec=codec)
         f.rewrite(0, 0, f._pack_runs(relation.phi_ordinals()))
@@ -165,17 +163,6 @@ class AVQFile:
     def _pack_runs(self, ordinals: Sequence[int]) -> List[Sequence[int]]:
         """Greedy Section 3.3 packing of sorted ordinals into block runs."""
         return pack_runs(self._codec, ordinals, self._disk.block_size)
-
-    def _encode_ordinals(self, ordinals: Sequence[int]) -> bytes:
-        # Mutation paths always hold sorted ordinals, so a codec that
-        # can encode runs directly skips the phi_inverse -> phi round
-        # trip (vectorised when eligible, byte-identical either way).
-        # Duck-typed codecs without that method expand to tuples first.
-        encode_ordinals = getattr(self._codec, "encode_ordinals", None)
-        if encode_ordinals is not None:
-            return encode_ordinals(ordinals, capacity=self._disk.block_size)
-        tuples = [self._codec.mapper.phi_inverse(o) for o in ordinals]
-        return self._codec.encode_block(tuples, capacity=self._disk.block_size)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -382,11 +369,11 @@ class AVQFile:
         encoded: List[Tuple[Sequence[int], bytes]] = []
         for run in runs:
             try:
-                encoded.append((run, self._encode_ordinals(run)))
+                encoded.append((run, self.encode_payload(run)))
             except BlockOverflowError:
                 mid = len(run) // 2
                 for half in (run[:mid], run[mid:]):
-                    encoded.append((half, self._encode_ordinals(half)))
+                    encoded.append((half, self.encode_payload(half)))
         directory = self._directory
         old_ids = tuple(directory.ids[lo:hi])
         new_ids: List[int] = []
@@ -462,14 +449,17 @@ class AVQFile:
     # ------------------------------------------------------------------
 
     def encode_payload(self, ordinals: Sequence[int]) -> bytes:
-        """Encode a sorted ordinal run exactly as a block write would.
+        """Encode a sorted ordinal run as every block write does.
 
-        The repair engine uses this to re-encode a candidate tuple set
-        and compare its CRC against the directory's recorded checksum —
-        the codec is deterministic, so a CRC match on the re-encoding is
+        :meth:`rewrite` encodes each run through this, and the repair
+        engine uses it to re-encode a candidate tuple set and compare
+        its CRC against the directory's recorded checksum — the codec
+        is deterministic, so a CRC match on the re-encoding is
         byte-identity with what was originally written.
         """
-        return self._encode_ordinals(ordinals)
+        return self._codec.encode_ordinals(
+            ordinals, capacity=self._disk.block_size
+        )
 
     def restore_block(
         self, position: int, ordinals: Sequence[int], payload: bytes

@@ -175,52 +175,49 @@ class TestVectorisedPhi:
 
 
 class TestVectorizedCodecPhi:
-    """The whole-block codec's batch phi agrees with OrdinalMapper."""
+    """The one batch phi (the mapper's array methods, which the codec,
+    the block filter and the container reader use) agrees with the
+    scalar phi."""
 
     @pytest.mark.parametrize(
         "sizes", [PAPER_DOMAINS, [4] * 15, [300, 5, 70000], [2, 2, 2]]
     )
     def test_phi_rows_elementwise(self, sizes):
-        from repro.core.vectorized import VectorizedBlockCodec
-
-        vec = VectorizedBlockCodec(sizes)
         m = OrdinalMapper(sizes)
         rng = np.random.default_rng(21)
         rows = np.stack(
             [rng.integers(0, s, size=300) for s in sizes], axis=1
         )
         expected = np.array([m.phi(tuple(r)) for r in rows])
-        np.testing.assert_array_equal(vec.phi_rows(rows), expected)
+        np.testing.assert_array_equal(m.phi_array(rows), expected)
 
     @pytest.mark.parametrize(
         "sizes", [PAPER_DOMAINS, [4] * 15, [300, 5, 70000], [2, 2, 2]]
     )
     def test_phi_inverse_rows_elementwise(self, sizes):
-        from repro.core.vectorized import VectorizedBlockCodec
-
-        vec = VectorizedBlockCodec(sizes)
         m = OrdinalMapper(sizes)
         rng = np.random.default_rng(22)
         ords = rng.integers(0, m.space_size, size=300)
-        decoded = vec.phi_inverse_rows(ords)
+        decoded = m.phi_inverse_array(ords)
         for o, row in zip(ords, decoded):
             assert tuple(row) == m.phi_inverse(int(o))
+        assert m.phi_inverse_many(ords) == [tuple(r) for r in decoded.tolist()]
+        for pos in range(len(sizes)):
+            np.testing.assert_array_equal(m.digits(ords, pos), decoded[:, pos])
 
     def test_phi_rows_rejects_out_of_domain(self):
-        from repro.core.vectorized import VectorizedBlockCodec
-
-        vec = VectorizedBlockCodec([4, 4])
+        m = OrdinalMapper([4, 4])
         with pytest.raises(DomainError):
-            vec.phi_rows(np.array([[5, 0]]))
+            m.phi_array(np.array([[5, 0]]))
         with pytest.raises(DomainError):
-            vec.phi_rows(np.zeros((2, 3), dtype=np.int64))
+            m.phi_array(np.zeros((2, 3), dtype=np.int64))
 
     def test_phi_inverse_rows_rejects_out_of_space(self):
-        from repro.core.vectorized import VectorizedBlockCodec
-
-        vec = VectorizedBlockCodec([4, 4])
+        m = OrdinalMapper([4, 4])
         with pytest.raises(DomainError):
-            vec.phi_inverse_rows(np.array([16]))
+            m.phi_inverse_array(np.array([16]))
+        with pytest.raises(DomainError):
+            OrdinalMapper([1 << 16] * 4).phi_inverse_array(np.array([0]))
 
     @pytest.mark.parametrize(
         "sizes", [PAPER_DOMAINS, [4] * 15, [300, 5, 70000]]

@@ -38,7 +38,8 @@ from repro.storage.faults import FaultInjector, FaultyDisk
 
 
 def build(
-    policy, *, rows=220, tuple_index=True, seed=1, caches=False, name="t"
+    policy, *, rows=220, tuple_index=True, seed=1, caches=False, name="t",
+    durable_path=None,
 ):
     disk = FaultyDisk(block_size=256, injector=FaultInjector(seed=seed))
     values = [(i, i % 9, i % 4) for i in range(rows)]
@@ -48,6 +49,7 @@ def build(
         name, relation, disk,
         degraded_reads=policy, tuple_index=tuple_index,
         secondary_on=["b"], buffer_capacity=8 if caches else None,
+        durable_path=durable_path,
     )
     if caches:
         table.enable_mvcc()  # adds the ordinal cache
@@ -274,6 +276,60 @@ class TestRepairPolicy:
         with pytest.raises(QuarantinedBlockError) as ei:
             table.select(ALL)
         assert ei.value.block_id == target
+
+
+class TestWholeFileReads:
+    """Checkpoints, index builds and the tuple-index build read every
+    block through the same guarded fetch as a select."""
+
+    def test_checkpoint_repairs_a_rotted_block(self, tmp_path):
+        wal = str(tmp_path / "t.wal")
+        table, disk = build("repair", durable_path=wal)
+        target = table.storage.block_ids[0]
+        before = disk.read_block(target)
+        disk.rot_block(target)
+        table.close()  # checkpoints
+        assert table.quarantined_blocks == []
+        assert disk.read_block(target) == before
+        reopened = Table.open("t", disk, wal)
+        assert reopened.select(ALL).cardinality == len(table)
+
+    def test_checkpoint_quarantines_under_raise(self, tmp_path):
+        table, disk = build("raise", durable_path=str(tmp_path / "t.wal"))
+        target = table.storage.block_ids[1]
+        disk.rot_block(target)
+        with pytest.raises(QuarantinedBlockError, match=str(target)):
+            table.checkpoint()
+        assert table.quarantined_blocks == [target]
+
+    @pytest.mark.parametrize(
+        "create", ["create_secondary_index", "create_hash_index"]
+    )
+    def test_index_builds_repair_a_rotted_block(self, create):
+        table, disk = build("repair")
+        target = table.storage.block_ids[0]
+        before = disk.read_block(target)
+        disk.rot_block(target)
+        getattr(table, create)("c")
+        assert table.quarantined_blocks == []
+        assert disk.read_block(target) == before
+        assert table.select(RangeQuery.equals("c", 0)).tuples == [
+            t for t in table.select(ALL).tuples if t[2] == 0
+        ]
+
+    def test_tuple_index_build_repairs_from_the_wal(self, tmp_path):
+        wal = str(tmp_path / "t.wal")
+        table, disk = build("repair", tuple_index=False, durable_path=wal)
+        table.close()
+        target = table.storage.block_ids[2]
+        before = disk.read_block(target)
+        disk.rot_block(target)
+        reopened = Table.open(
+            "t", disk, wal, degraded_reads="repair", tuple_index=True
+        )
+        assert reopened.quarantined_blocks == []
+        assert disk.read_block(target) == before
+        assert len(reopened.tuple_ordinal_index) == len(table)
 
 
 class TestCacheCoherence:

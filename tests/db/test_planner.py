@@ -174,6 +174,33 @@ class TestPlannedExecution:
         assert sorted(result.tuples, key=rel.schema.mapper.phi) == expected
 
 
+    @pytest.mark.parametrize("kind", ["secondary", "hash"])
+    def test_indexed_select_returns_phi_order_after_splits(self, kind):
+        """Splits give new blocks higher ids mid-file; an index plan
+        still reads its blocks in directory order, so rows come back in
+        phi order like every other path's."""
+        schema = Schema(
+            [Attribute(f"a{i}", IntegerRangeDomain(0, 15)) for i in range(3)]
+        )
+        rng = random.Random(11)
+        rows = [tuple(rng.randrange(16) for _ in range(3)) for _ in range(200)]
+        table = Table.from_relation(
+            "t", Relation(schema, rows), SimulatedDisk(block_size=64),
+            secondary_on=["a1"] if kind == "secondary" else [],
+        )
+        if kind == "hash":
+            table.create_hash_index("a1")
+        for _ in range(100):
+            row = tuple(rng.randrange(16) for _ in range(3))
+            table.insert(row)
+            rows.append(row)
+        result = table.select(RangeQuery.equals("a1", 3))
+        assert result.access_path == f"{kind}:a1"
+        assert result.tuples == sorted(
+            (t for t in rows if t[1] == 3), key=schema.mapper.phi
+        )
+
+
 class TestExplain:
     def test_explain_lists_all_candidates(self, setup):
         _, table = setup

@@ -1,10 +1,10 @@
 """Snapshot select against live ``Table.select`` on the same rows.
 
 :meth:`TableSnapshot.select` and the live :meth:`Table.select` share one
-block loop.  It filters a vector-codec table in ordinal space — one
-``searchsorted`` slice for the leading attribute, vector masks for the
-rest, tuples built only for the matches — and a scalar-codec table
-tuple-at-a-time.  Both plan with the one planner over their own
+block loop.  It filters every table whose ordinal space fits int64 in
+ordinal space, whatever its codec — one ``searchsorted`` slice for the
+leading attribute, vector masks for the rest, tuples built only for the
+matches — and a table over a wider space tuple-at-a-time.  Both plan with the one planner over their own
 directory, so the live path and a brute-force oracle under it are the
 specification: both must return identical rows in identical phi order,
 take the same path, list the same candidate blocks and account for the
@@ -39,7 +39,8 @@ from repro.storage.disk import SimulatedDisk
 
 #: Domain sizes per schema.  The first two take the array path (one
 #: with a multi-byte leading field); the third's ordinal space is 2^64,
-#: above the vector codec's 2^61 bound, so it keeps the scalar codec.
+#: above the 2^61 int64 bound, so it keeps the scalar codec and filters
+#: tuples.
 SCHEMAS = {
     "vector-3": (6, 8, 10),
     "vector-wide": (300, 4, 2, 17),
@@ -181,34 +182,69 @@ class TestCodecChoice:
         assert table.storage.codec.vector_codec is None
 
 
+def assert_codecs_answer_alike(tables, rows, queries):
+    """Every table answers every query with the oracle's rows, and all
+    read the same blocks and examine the same tuples."""
+    for query in queries * 2:  # the repeat hits the ordinal caches
+        want = oracle(tables[0], rows, query)
+        results = [table.select(query) for table in tables]
+        for result in results:
+            assert result.tuples == want
+        assert len({
+            (r.blocks_read, r.tuples_examined, r.access_path,
+             tuple(r.candidate_blocks))
+            for r in results
+        }) == 1
+
+
 class TestLiveCodecs:
     @SETTINGS
     @given(cases())
     def test_vector_and_scalar_codecs_answer_alike(self, case):
-        """Live selects filter ordinal arrays on a vector codec (through
-        the ordinal cache, or decoding each block without one) and
-        tuples on the scalar codec: same rows, order, blocks read and
-        tuples examined, and the rows are the oracle's."""
+        """Live selects on every codec of an int64 space filter ordinal
+        arrays (through the ordinal cache when MVCC is on, decoding each
+        block without it); wider spaces filter tuples.  Same rows,
+        order, blocks read and tuples examined, and the rows are the
+        oracle's."""
         sizes, rows, queries = case
+        scalar = BlockCodec(sizes, vectorized=False)
         tables = [
             make_table(sizes, rows),
             make_table(sizes, rows, mvcc=False),
+            make_table(sizes, rows, codec=scalar),
+            make_table(sizes, rows, mvcc=False, codec=scalar),
+        ]
+        fits = OrdinalMapper(sizes).fits_int64
+        assert (tables[2].ordinal_cache is not None) == fits
+        assert_codecs_answer_alike(tables, rows, queries)
+        if fits:
+            vector, scalar = tables[0].ordinal_cache, tables[2].ordinal_cache
+            assert (scalar.hits, scalar.misses) == (vector.hits, vector.misses)
+
+    def test_decode_unsafe_vector_schema_filters_arrays(self):
+        """A vector codec whose decode is not overflow-safe still gets
+        the ordinal cache: the codec decodes it with the scalar decoder."""
+        sizes = (2,) * 61
+        rows = [tuple((i >> k) & 1 for k in range(61)) for i in range(30)]
+        tables = [
+            make_table(sizes, rows, block_size=512),
             make_table(
-                sizes, rows, mvcc=False,
-                codec=BlockCodec(sizes, vectorized=False),
+                sizes, rows, block_size=512,
+                codec=BlockCodec(sizes, vectorized=False), mvcc=False,
             ),
         ]
-        assert tables[2]._array_codec() is None
-        for query in queries * 2:  # the repeat hits the ordinal cache
-            want = oracle(tables[0], rows, query)
-            results = [table.select(query) for table in tables]
-            for result in results:
-                assert result.tuples == want
-            assert len({
-                (r.blocks_read, r.tuples_examined, r.access_path,
-                 tuple(r.candidate_blocks))
-                for r in results
-            }) == 1
+        codec = tables[0].storage.codec
+        assert codec.vectorized and not codec.vector_codec.decode_supported
+        assert tables[0].ordinal_cache is not None
+        queries = [
+            RangeQuery([]),
+            RangeQuery(
+                [RangePredicate("a0", 0, 0), RangePredicate("a1", 1, 1)]
+            ),
+            RangeQuery([RangePredicate("a60", 1, 1)]),
+        ]
+        assert_codecs_answer_alike(tables, rows, queries)
+        assert tables[0].ordinal_cache.hits > 0
 
 
 class TestStaticTables:
@@ -250,12 +286,13 @@ class TestStaticTables:
             full = assert_matches_live(table, snap, RangeQuery([]))
             assert full.tuples_examined == len(rows)
 
-    def test_decode_unsafe_vector_codec_falls_back_to_tuples(self):
+    def test_decode_unsafe_vector_codec_matches_live(self):
         sizes = (2,) * 61  # fits int64, but corrupt digits could wrap it
         rows = [tuple((i >> k) & 1 for k in range(61)) for i in range(30)]
         table = make_table(sizes, rows, block_size=512)
         vec = table.storage.codec.vector_codec
         assert vec is not None and not vec.decode_supported
+        assert table.ordinal_cache is not None
         query = RangeQuery(
             [RangePredicate("a0", 0, 0), RangePredicate("a1", 1, 1)]
         )

@@ -188,7 +188,7 @@ class TestMetricsFlag:
         events = self._events(out)
         names = {e["name"] for e in events if e["event"] == "metric"}
         assert "cli.query.matches" in names
-        assert "codec.blocks_decoded" in names
+        assert "codec.ordinal_decodes" in names
         spans = [e for e in events if e["event"] == "span"]
         assert any(s["name"] == "cli.query" for s in spans)
         assert "event(s)" in capsys.readouterr().err

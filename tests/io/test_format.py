@@ -31,10 +31,20 @@ def relation():
 
 
 def codecs(schema):
-    """The vector codec (the default here) and the scalar one."""
+    """The vector codec (the default here), the scalar one and the
+    unchained ablation; all three read back through the array decode."""
     vector = BlockCodec(schema.domain_sizes)
     assert vector.vector_codec is not None and vector.vector_codec.decode_supported
-    return [vector, BlockCodec(schema.domain_sizes, vectorized=False)]
+    return [
+        vector,
+        BlockCodec(schema.domain_sizes, vectorized=False),
+        BlockCodec(schema.domain_sizes, chained=False),
+    ]
+
+
+CODECS = pytest.mark.parametrize(
+    "which", [0, 1, 2], ids=["vector", "scalar", "unchained"]
+)
 
 
 def rewrite_header(path, edit):
@@ -204,7 +214,7 @@ class TestReadBackChecks:
             assert exc.path == path
             assert str(exc) == message
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["vector", "scalar"])
+    @CODECS
     def test_rotted_payload(self, relation, tmp_path, which):
         codec = codecs(relation.schema)[which]
         path = self._container(relation, tmp_path, codec)
@@ -218,7 +228,7 @@ class TestReadBackChecks:
             "block 2 failed its checksum (corrupt payload)",
         )
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["vector", "scalar"])
+    @CODECS
     def test_quarantined_block(self, relation, tmp_path, which):
         codec = codecs(relation.schema)[which]
         path = self._container(relation, tmp_path, codec)
@@ -228,7 +238,7 @@ class TestReadBackChecks:
             "block 2 is quarantined (crc32); run fsck --repair",
         )
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["vector", "scalar"])
+    @CODECS
     def test_directory_count_mismatch(self, relation, tmp_path, which):
         codec = codecs(relation.schema)[which]
         path = self._container(relation, tmp_path, codec)
@@ -245,7 +255,7 @@ class TestReadBackChecks:
             f"directory says {count + 1}",
         )
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["vector", "scalar"])
+    @CODECS
     def test_directory_first_ordinal_mismatch(
         self, relation, tmp_path, which
     ):
