@@ -1,14 +1,15 @@
-"""Benchmark: the vectorised packer versus the exact scalar packer.
+"""Benchmark: the numpy packer versus the exact scalar packer.
 
-Both produce bit-identical partitions (property-tested); this bench
-records the speedup that makes the 10^5-tuple Figure 5.7 sweep cheap.
+Both are :func:`~repro.storage.packer.pack_ordinals`; the codec picks
+the path (``BlockCodec(sizes)`` walks in numpy, ``vectorized=False``
+runs the scalar incremental fill).  They produce bit-identical
+partitions (property-tested); this bench records the speedup that makes
+the 10^5-tuple Figure 5.7 sweep cheap.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.codec import BlockCodec
-from repro.core.vectorized import VectorizedBlockCodec
 from repro.storage.packer import pack_ordinals
 
 BLOCK_SIZE = 8192
@@ -20,23 +21,24 @@ def ordinals(small_variance_relation):
 
 
 def test_pack_scalar(benchmark, small_variance_relation, ordinals):
-    codec = BlockCodec(small_variance_relation.schema.domain_sizes)
+    codec = BlockCodec(
+        small_variance_relation.schema.domain_sizes, vectorized=False
+    )
     partition = benchmark(pack_ordinals, codec, ordinals, BLOCK_SIZE)
     benchmark.extra_info["blocks"] = partition.stats.num_blocks
 
 
 def test_pack_vectorised(benchmark, small_variance_relation, ordinals):
-    vec = VectorizedBlockCodec(small_variance_relation.schema.domain_sizes)
-    arr = np.asarray(ordinals, dtype=np.int64)
-    boundaries = benchmark(vec.pack_boundaries, arr, BLOCK_SIZE)
-    benchmark.extra_info["blocks"] = len(boundaries)
+    codec = BlockCodec(small_variance_relation.schema.domain_sizes)
+    assert codec.pack_path == "vector"
+    partition = benchmark(pack_ordinals, codec, ordinals, BLOCK_SIZE)
+    benchmark.extra_info["blocks"] = partition.stats.num_blocks
 
 
 def test_fast_and_scalar_agree(small_variance_relation, ordinals):
     sizes = small_variance_relation.schema.domain_sizes
-    codec = BlockCodec(sizes)
-    exact = pack_ordinals(codec, ordinals, BLOCK_SIZE)
-    fast = VectorizedBlockCodec(sizes).pack_boundaries(
-        np.asarray(ordinals, dtype=np.int64), BLOCK_SIZE
-    )
-    assert [ordinals[s:e] for s, e in fast] == exact.blocks
+    scalar = BlockCodec(sizes, vectorized=False)
+    exact = pack_ordinals(scalar, ordinals, BLOCK_SIZE)
+    fast = pack_ordinals(BlockCodec(sizes), ordinals, BLOCK_SIZE)
+    assert [run.tolist() for run in fast.blocks] == exact.blocks
+    assert fast.stats == exact.stats

@@ -12,11 +12,10 @@ import json
 import os
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.codec import BlockCodec
-from repro.core.vectorized import VectorizedBlockCodec
+from repro.storage.packer import pack_ordinals
 
 BLOCK_SIZE = 4096
 MIN_SPEEDUP = 5.0
@@ -25,14 +24,16 @@ JSON_PATH = os.environ.get("BENCH_CODEC_JSON", "BENCH_codec.json")
 
 @pytest.fixture(scope="module")
 def runs(small_variance_relation):
-    """The relation's sorted ordinals split into block-sized runs."""
+    """The relation's block-sized runs as each codec path packs them:
+    int64 array slices (numpy) and Python-int lists (scalar)."""
     sizes = small_variance_relation.schema.domain_sizes
-    ordinals = np.asarray(
-        sorted(small_variance_relation.phi_ordinals()), dtype=np.int64
-    )
-    vec = VectorizedBlockCodec(sizes)
-    boundaries = vec.pack_boundaries(ordinals, BLOCK_SIZE)
-    return sizes, [ordinals[s:e] for s, e in boundaries]
+    ordinals = small_variance_relation.phi_ordinals()
+    fast = pack_ordinals(BlockCodec(sizes), ordinals, BLOCK_SIZE).blocks
+    slow = pack_ordinals(
+        BlockCodec(sizes, vectorized=False), ordinals, BLOCK_SIZE
+    ).blocks
+    assert [run.tolist() for run in fast] == slow
+    return sizes, fast, slow
 
 
 def encode_all(codec, runs):
@@ -45,7 +46,7 @@ def decode_all(codec, payloads):
 
 
 def test_encode_decode_vectorised(benchmark, runs):
-    sizes, block_runs = runs
+    sizes, block_runs, _ = runs
     codec = BlockCodec(sizes)
     assert codec.vectorized
 
@@ -57,15 +58,14 @@ def test_encode_decode_vectorised(benchmark, runs):
 
 
 def test_encode_decode_scalar(benchmark, runs):
-    sizes, block_runs = runs
+    sizes, _, scalar_runs = runs
     codec = BlockCodec(sizes, vectorized=False)
-    scalar_runs = [[int(o) for o in run] for run in block_runs]
 
     def round_trip():
         decode_all(codec, encode_all(codec, scalar_runs))
 
     benchmark(round_trip)
-    benchmark.extra_info["blocks"] = len(block_runs)
+    benchmark.extra_info["blocks"] = len(scalar_runs)
 
 
 def _best_of(fn, repeats=3):
@@ -79,11 +79,10 @@ def _best_of(fn, repeats=3):
 
 def test_speedup_gate(runs):
     """The PR's performance claim, enforced: >= 5x encode+decode."""
-    sizes, block_runs = runs
+    sizes, block_runs, scalar_runs = runs
     fast = BlockCodec(sizes)
     slow = BlockCodec(sizes, vectorized=False)
     assert fast.vectorized and not slow.vectorized
-    scalar_runs = [[int(o) for o in run] for run in block_runs]
 
     fast_payloads = encode_all(fast, block_runs)
     slow_payloads = encode_all(slow, scalar_runs)

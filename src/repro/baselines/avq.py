@@ -8,7 +8,7 @@ from repro.baselines.base import BaselineCodec
 from repro.core.codec import BlockCodec
 from repro.relational.relation import Relation
 from repro.storage.block import DEFAULT_BLOCK_SIZE
-from repro.storage.packer import pack_runs
+from repro.storage.packer import pack_ordinals
 
 __all__ = ["AVQBaseline"]
 
@@ -49,4 +49,7 @@ class AVQBaseline(BaselineCodec):
     def blocks_needed(
         self, relation: Relation, block_size: int = DEFAULT_BLOCK_SIZE
     ) -> int:
-        return len(pack_runs(self._codec, relation.phi_ordinals(), block_size))
+        partition = pack_ordinals(
+            self._codec, relation.phi_ordinals(), block_size
+        )
+        return partition.stats.num_blocks

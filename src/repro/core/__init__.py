@@ -25,7 +25,6 @@ from repro.core.representative import STRATEGIES, get_strategy
 from repro.core.runlength import TupleLayout, rle_decode, rle_encode
 from repro.core.vectorized import (
     VectorizedBlockCodec,
-    numpy_packer_for,
     vectorized_codec_for,
 )
 
@@ -49,6 +48,5 @@ __all__ = [
     "GolombBlockCodec",
     "choose_rice_parameter",
     "VectorizedBlockCodec",
-    "numpy_packer_for",
     "vectorized_codec_for",
 ]

@@ -32,11 +32,14 @@ Because chained differences are exactly the *consecutive gaps* between
 phi-ordered tuples, the encoded size of a block is independent of where the
 representative sits; :meth:`BlockCodec.encoded_size_of_ordinals` exploits
 this to let the packer compute fill levels without materialising bytes.
+:meth:`BlockCodec.pack_boundaries` is the one Section 3.3 greedy fill:
+the codec alone picks the numpy walk, the scalar incremental fill (the
+oracle) or bisection (unchained sizes are not incremental).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -60,6 +63,9 @@ HEADER_BYTES = 4
 #: Maximum tuples per block, bounded by the 2-byte count field.
 MAX_TUPLES_PER_BLOCK = 0xFFFF
 
+#: One packed block: ``(start, end, encoded_size)`` over the input run.
+Boundary = Tuple[int, int, int]
+
 
 class BlockCodec:
     """Losslessly encode and decode blocks of tuples with AVQ.
@@ -80,8 +86,9 @@ class BlockCodec:
         (:mod:`repro.core.vectorized`).  ``None`` (the default)
         auto-selects it whenever it is byte-identical to the scalar
         path — chained differences, median representative, ordinal
-        space within int64; ``False`` forces the exact scalar path
-        everywhere (the knob docs/PERFORMANCE.md documents); ``True``
+        space within int64 (numpy packing needs no median);
+        ``False`` forces the exact scalar path everywhere, packing
+        included (the knob docs/PERFORMANCE.md documents); ``True``
         demands the fast path and raises
         :class:`~repro.errors.DomainError` for ineligible
         configurations.
@@ -112,12 +119,21 @@ class BlockCodec:
         self._vector: Optional["VectorizedBlockCodec"] = None
         #: The vector codec when its decode is overflow-safe too.
         self._vector_decode: Optional["VectorizedBlockCodec"] = None
+        #: The numpy boundary walk: any chained codec over an int64
+        #: space, since the representative does not change its sizes.
+        self._packer: Optional["VectorizedBlockCodec"] = None
         if vectorized is not False:
             # Runtime import: repro.core.vectorized imports this module
             # for the block-layout constants.
-            from repro.core.vectorized import vectorized_codec_for
+            from repro.core.vectorized import (
+                VectorizedBlockCodec,
+                vectorized_codec_for,
+            )
 
             self._vector = vectorized_codec_for(self)
+            self._packer = self._vector
+            if self._packer is None and chained and self._mapper.fits_int64:
+                self._packer = VectorizedBlockCodec(domain_sizes)
             if vectorized is True and self._vector is None:
                 raise DomainError(
                     "vectorized=True requires chained differences, the "
@@ -173,6 +189,17 @@ class BlockCodec:
         """
         return self._vector
 
+    @property
+    def decode_path(self) -> str:
+        """``"vector"`` or ``"scalar"``: the decoder every decode runs."""
+        return "scalar" if self._vector_decode is None else "vector"
+
+    @property
+    def pack_path(self) -> str:
+        """``"vector"`` when :meth:`pack_boundaries` walks in numpy over
+        int64 ordinals, else ``"scalar"`` (Python ints)."""
+        return "scalar" if self._packer is None else "vector"
+
     # ------------------------------------------------------------------
     # Difference computation
     # ------------------------------------------------------------------
@@ -198,8 +225,43 @@ class BlockCodec:
         return diffs
 
     # ------------------------------------------------------------------
-    # Size accounting (used by the packer, no bytes materialised)
+    # Size accounting and packing (no bytes materialised)
     # ------------------------------------------------------------------
+
+    def pack_boundaries(
+        self, sorted_ordinals: Sequence[int], block_size: int
+    ) -> List[Boundary]:
+        """The Section 3.3 greedy fill: ``(start, end, encoded_size)`` per
+        block, each taking tuples until the next would overflow (a
+        block over ``block_size`` is one tuple that fits no block).
+
+        The codec alone picks how: the numpy walk when
+        :attr:`pack_path` is ``"vector"``, else the scalar incremental
+        fill (chained; the oracle), else bisection (unchained sizes
+        depend on the representative).  Everything else packs through
+        :func:`repro.storage.packer.pack_ordinals`, which checks the
+        order and the sizes.
+        """
+        if self._packer is not None:
+            return self._packer.pack_boundaries(sorted_ordinals, block_size)
+        if not self._chained:
+            return _bisect_boundaries(
+                self.encoded_size_of_ordinals, sorted_ordinals, block_size
+            )
+        boundaries: List[Boundary] = []
+        base = HEADER_BYTES + self.tuple_bytes
+        start, size = 0, base
+        for i in range(1, len(sorted_ordinals)):
+            gap = sorted_ordinals[i] - sorted_ordinals[i - 1]
+            cost = self.incremental_gap_cost(gap)
+            if size + cost <= block_size:
+                size += cost
+            else:
+                boundaries.append((start, i, size))
+                start, size = i, base
+        if len(sorted_ordinals):
+            boundaries.append((start, len(sorted_ordinals), size))
+        return boundaries
 
     def encoded_size_of_ordinals(self, sorted_ordinals: Sequence[int]) -> int:
         """Exact encoded size in bytes of a block holding these tuples.
@@ -301,10 +363,12 @@ class BlockCodec:
         load, the container writer): on the vectorised path the
         ``phi_inverse`` → ``phi`` round trip is skipped entirely.
         Byte-identical to ``encode_block`` over the same tuples;
-        ``sorted_ordinals`` must be ascending and in ``[0, ||R||)``.
+        ``sorted_ordinals`` (a list or, from a numpy pack, an int64
+        array) must be ascending and in ``[0, ||R||)``.
         """
         if self._vector is None:
-            tuples = [self._mapper.phi_inverse(o) for o in sorted_ordinals]
+            mapper = self._mapper
+            tuples = [mapper.phi_inverse(int(o)) for o in sorted_ordinals]
             return self.encode_block(tuples, capacity=capacity)
         t0 = _obs.now_ms() if _obs.REGISTRY is not None else 0.0
         payload = self._vector.encode_run(sorted_ordinals, capacity)
@@ -420,6 +484,35 @@ class BlockCodec:
                     f"corrupt block: reconstructed ordinal {o} outside tuple space"
                 )
         return result
+
+
+def _bisect_boundaries(
+    size_of: Callable[[Sequence[int]], int],
+    sorted_ordinals: Sequence[int],
+    block_size: int,
+) -> List[Boundary]:
+    """Greedy fill for whole-block sizes (unchained, Rice-coded).
+
+    Such sizes are not even monotone in prefix length (a median shift
+    or a new Rice parameter can shrink a block), so each block's length
+    is bisected, O(u log u) sizings instead of O(u^2); a block may stop
+    a tuple short of the maximum, a sliver of slack in ablation codecs.
+    """
+    boundaries: List[Boundary] = []
+    start = 0
+    n = len(sorted_ordinals)
+    while start < n:
+        lo, hi = 1, n - start  # lo tuples always "fit" (forced minimum)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if size_of(sorted_ordinals[start : start + mid]) <= block_size:
+                lo = mid
+            else:
+                hi = mid - 1
+        size = size_of(sorted_ordinals[start : start + lo])
+        boundaries.append((start, start + lo, size))
+        start += lo
+    return boundaries
 
 
 def _encoded(t0: float, u: int, payload: bytes, counter: str) -> bytes:

@@ -12,8 +12,9 @@ the same chained gap sequence with Golomb-Rice codes:
   geometrically distributed gaps — which uniform tuples produce).
 
 :class:`GolombBlockCodec` mirrors :class:`~repro.core.codec.BlockCodec`'s
-interface (encode/decode a block of tuples, exact predicted sizes) so the
-two slot into the same packer and benches.  Block layout::
+interface (encode/decode a block of tuples, exact predicted sizes, block
+boundaries) so the two slot into the same packer and benches.  Block
+layout::
 
     count u (2 bytes) ‖ rice k (1 byte) ‖ bit length (4 bytes)
     ‖ rep tuple (m bytes) ‖ Rice-coded gaps (bit stream)
@@ -30,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.core.bits import BitReader, BitWriter
+from repro.core.codec import Boundary, _bisect_boundaries
 from repro.core.phi import OrdinalMapper
 from repro.core.runlength import TupleLayout
 from repro.errors import BlockOverflowError, CodecError, DomainError
@@ -63,23 +65,19 @@ def choose_rice_parameter(gaps: Sequence[int]) -> int:
 class GolombBlockCodec:
     """Bit-granular AVQ variant: chained gaps, Rice-coded.
 
-    ``chained`` is ``False`` in the packer-protocol sense: although the
-    stored differences are chained gaps, the per-block Rice parameter
-    depends on the whole block's gap distribution, so sizes are not
-    incrementally computable — the packer must use its re-sizing path.
+    Although the stored differences are chained gaps, the per-block Rice
+    parameter depends on the whole block's gap distribution, so sizes
+    are not incrementally computable: :meth:`pack_boundaries` bisects.
     """
 
-    #: Packer protocol: sizes are whole-block, not incremental.
-    chained = False
+    #: Every decode runs the scalar bit reader.
+    decode_path = "scalar"
+    #: Packing works over Python ints (bisection).
+    pack_path = "scalar"
 
     def __init__(self, domain_sizes: Sequence[int]) -> None:
         self._mapper = OrdinalMapper(domain_sizes)
         self._layout = TupleLayout(domain_sizes)
-
-    @property
-    def min_block_bytes(self) -> int:
-        """Smallest possible block: header plus the raw anchor tuple."""
-        return GOLOMB_HEADER_BYTES + self._layout.tuple_bytes
 
     @property
     def mapper(self) -> OrdinalMapper:
@@ -110,6 +108,15 @@ class GolombBlockCodec:
         k = choose_rice_parameter(gaps)
         bits = sum(self._gap_bits(g, k) for g in gaps)
         return GOLOMB_HEADER_BYTES + self._layout.tuple_bytes + (bits + 7) // 8
+
+    def pack_boundaries(
+        self, sorted_ordinals: Sequence[int], block_size: int
+    ) -> List[Boundary]:
+        """Greedy fill by bisection: ``(start, end, encoded_size)`` per
+        block."""
+        return _bisect_boundaries(
+            self.encoded_size_of_ordinals, sorted_ordinals, block_size
+        )
 
     # ------------------------------------------------------------------
     # Encode / decode

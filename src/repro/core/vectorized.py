@@ -31,9 +31,11 @@ offsets without a per-entry Python loop.
 Two rules decide where the numpy paths apply; schemas outside them
 transparently keep the exact scalar path:
 
-* **Packing** (:func:`numpy_packer_for`): chained differences over an
-  ordinal space that fits ``int64``.  The representative does not
-  change a chained block's size.
+* **Packing** (chosen by :meth:`BlockCodec.pack_boundaries
+  <repro.core.codec.BlockCodec.pack_boundaries>`): chained differences
+  over an ordinal space that fits ``int64``, unless the codec was built
+  with ``vectorized=False``.  The representative does not change a
+  chained block's size.
 * **Coding** (:func:`vectorized_codec_for`): the packing rule plus the
   paper's median representative.  Decoding additionally requires that
   no corrupt byte pattern can overflow ``int64`` during difference
@@ -49,19 +51,13 @@ import numpy as np
 from repro.core.codec import HEADER_BYTES, MAX_TUPLES_PER_BLOCK
 from repro.core.phi import OrdinalMapper
 from repro.core.runlength import TupleLayout
-from repro.errors import (
-    BlockOverflowError,
-    CodecError,
-    DomainError,
-    StorageError,
-)
+from repro.errors import BlockOverflowError, CodecError, DomainError
 
 if TYPE_CHECKING:  # circular at type level only
     from repro.core.codec import BlockCodec
 
 __all__ = [
     "VectorizedBlockCodec",
-    "numpy_packer_for",
     "vectorized_codec_for",
 ]
 
@@ -189,60 +185,40 @@ class VectorizedBlockCodec:
         self,
         sorted_ordinals: Union[np.ndarray, Sequence[int]],
         block_size: int,
-    ) -> List[Tuple[int, int]]:
-        """Greedy maximal-fill block boundaries, identical to the exact packer.
+    ) -> List[Tuple[int, int, int]]:
+        """Greedy maximal-fill blocks, identical to the scalar fill.
 
-        Returns ``[(start, end), ...]`` index ranges into
+        Returns ``[(start, end, encoded_size), ...]`` over
         ``sorted_ordinals``.  Each block's size is ``HEADER_BYTES + m +
         sum(rle_costs of its gaps)`` — the first tuple of a block
         contributes no gap — so packing is a ``searchsorted`` walk over
-        the cumulative gap costs.  Valid for any chained codec over these
-        domains (see :func:`numpy_packer_for`).
+        the cumulative gap costs.  Valid for any chained codec over
+        these domains; reached through :meth:`BlockCodec.pack_boundaries
+        <repro.core.codec.BlockCodec.pack_boundaries>`, and the packer
+        checks the order and the sizes.
         """
-        min_block = HEADER_BYTES + self._layout.tuple_bytes
-        if block_size < min_block:
-            raise StorageError(
-                f"block size {block_size} cannot hold even one tuple "
-                f"(needs {min_block} bytes)"
-            )
         ordinals = np.asarray(sorted_ordinals, dtype=np.int64)
         n = len(ordinals)
         if n == 0:
             return []
-        gaps = np.diff(ordinals)
-        if (gaps < 0).any():
-            raise StorageError("pack_boundaries requires ascending ordinals")
         # cumulative cost of gaps: C[k] = sum of gap costs[:k]
-        cumulative = np.concatenate([[0], np.cumsum(self.rle_costs(gaps))])
-        budget = block_size - min_block  # gap bytes allowed per block
+        cumulative = np.concatenate(
+            [[0], np.cumsum(self.rle_costs(np.diff(ordinals)))]
+        )
+        base = HEADER_BYTES + self._layout.tuple_bytes
+        budget = block_size - base  # gap bytes allowed per block
 
-        boundaries: List[Tuple[int, int]] = []
+        boundaries: List[Tuple[int, int, int]] = []
         start = 0
         while start < n:
             # the largest end whose gaps start..end-2 fit the budget
             limit = cumulative[start] + budget
             end = int(np.searchsorted(cumulative, limit, side="right"))
             end = max(start + 1, min(end, n))
-            boundaries.append((start, end))
+            size = base + int(cumulative[end - 1] - cumulative[start])
+            boundaries.append((start, end, size))
             start = end
         return boundaries
-
-    def encoded_size_of_run(
-        self, sorted_ordinals: Union[np.ndarray, Sequence[int]]
-    ) -> int:
-        """Exact encoded byte size of one ascending run, no bytes built.
-
-        Agrees with ``BlockCodec.encoded_size_of_ordinals`` (and with
-        ``len(encode_run(...))``) for every run — property-tested in
-        ``tests/core/test_phi.py``.
-        """
-        run = np.asarray(sorted_ordinals, dtype=np.int64)
-        if run.size == 0:
-            raise CodecError("cannot size an empty block")
-        base = HEADER_BYTES + self._layout.tuple_bytes
-        if run.size == 1:
-            return base
-        return base + int(self.rle_costs(np.diff(run)).sum())
 
     # ------------------------------------------------------------------
     # Encoding
@@ -563,24 +539,6 @@ class VectorizedBlockCodec:
         return matrix.astype(np.int64) @ self._byte_weights
 
 
-def numpy_packer_for(codec: "BlockCodec") -> Optional[VectorizedBlockCodec]:
-    """The numpy boundary packer for ``codec``, or ``None`` for the scalar one.
-
-    The one rule for computing block boundaries in numpy: chained
-    differences over an ordinal space that fits int64.  A chained block
-    stores exactly its consecutive gaps, so its size — and therefore
-    every boundary — does not depend on the representative strategy.
-    Codecs that are not chained in the packer's sense (un-chained
-    ablations, ``GolombBlockCodec``) keep the exact scalar packer.
-    """
-    if not (codec.chained and codec.mapper.fits_int64):
-        return None
-    vec: Optional[VectorizedBlockCodec] = getattr(codec, "vector_codec", None)
-    if vec is None:
-        vec = VectorizedBlockCodec(codec.mapper.domain_sizes)
-    return vec
-
-
 def vectorized_codec_for(
     codec: "BlockCodec",
 ) -> Optional[VectorizedBlockCodec]:
@@ -588,7 +546,7 @@ def vectorized_codec_for(
 
     Eligibility is the paper's default configuration (chained
     differences, median representative) over an ordinal space that fits
-    safely in int64 — the :func:`numpy_packer_for` rule plus the median.
+    safely in int64 — the packing rule plus the median.
     Anything else (ablation strategies, un-chained differencing, wide
     schemas) keeps the exact scalar path.
     """

@@ -701,10 +701,11 @@ class Table:
         )
 
     def _codec_path(self) -> str:
-        """Which decode implementation this table's reads run through."""
-        codec = getattr(self._storage, "codec", None)
-        if codec is not None and getattr(codec, "vectorized", False):
-            return "vector"
+        """Which decoder this table's reads run through: its codec's
+        :attr:`~repro.core.codec.BlockCodec.decode_path`, or
+        ``"scalar"`` for heap files."""
+        if isinstance(self._storage, AVQFile):
+            return self._storage.codec.decode_path
         return "scalar"
 
     def _publish_query_metrics(self, profile: QueryProfile) -> None:

@@ -86,7 +86,7 @@ def measure_local_codec(
     partition = pack_ordinals(codec, relation.phi_ordinals(), block_size)
     # The middle block is representative; edge blocks may be underfull.
     run = partition.blocks[len(partition.blocks) // 2]
-    tuples = [codec.mapper.phi_inverse(o) for o in run]
+    tuples = codec.mapper.phi_inverse_many(run)
     encoded = codec.encode_block(tuples)
 
     heap_disk = SimulatedDisk(block_size=block_size)

@@ -195,9 +195,10 @@ class TupleOrdinalIndex:
 
     def move(self, old_blocks: Blocks, new_blocks: Blocks) -> None:
         """Apply one block rewrite, ``(block_id, ordinals)`` pairs before
-        and after: only occurrences whose block changed move."""
-        before = Counter((o, b) for b, run in old_blocks for o in run)
-        after = Counter((o, b) for b, run in new_blocks for o in run)
+        and after (lists or int64 arrays; keys stay Python ints): only
+        occurrences whose block changed move."""
+        before = Counter((int(o), b) for b, run in old_blocks for o in run)
+        after = Counter((int(o), b) for b, run in new_blocks for o in run)
         for ordinal, block_id in (before - after).elements():
             self.remove(ordinal, block_id)
         for ordinal, block_id in (after - before).elements():

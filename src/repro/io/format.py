@@ -53,7 +53,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.storage.block import DEFAULT_BLOCK_SIZE
 from repro.storage.directory import BlockDirectory, DecodedRun
-from repro.storage.packer import pack_runs
+from repro.storage.packer import pack_ordinals
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -87,6 +87,11 @@ def write_avq_file(
     can report the compression achieved.
     """
     codec = codec or BlockCodec(relation.schema.domain_sizes)
+    if not isinstance(codec, BlockCodec):
+        raise StorageError(
+            "a container header describes only BlockCodec codecs, not "
+            f"{type(codec).__name__}"
+        )
     if codec.mapper.domain_sizes != relation.schema.domain_sizes:
         raise StorageError("codec domain sizes do not match the schema")
     with _obs.span("io.write_avq", path=path, tuples=len(relation)):
@@ -109,9 +114,10 @@ def _write_avq_file(
     """The :func:`write_avq_file` body, minus validation and telemetry.
 
     Packs and encodes exactly as :meth:`AVQFile.build` does
-    (:func:`pack_runs`, then :meth:`BlockCodec.encode_ordinals` per run).
+    (:func:`pack_ordinals`, then :meth:`BlockCodec.encode_ordinals` per
+    run).
     """
-    runs = pack_runs(codec, relation.phi_ordinals(), block_size)
+    runs = pack_ordinals(codec, relation.phi_ordinals(), block_size).blocks
     with _obs.span(
         "codec.encode",
         blocks=len(runs),
@@ -472,7 +478,7 @@ def read_avq_file(path: str) -> Relation:
         with _obs.span(
             "codec.decode",
             blocks=reader.num_blocks,
-            path="vector" if reader.codec.vectorized else "scalar",
+            path=reader.codec.decode_path,
         ):
             if not mapper.fits_int64:
                 return Relation(reader.schema, reader.scan())

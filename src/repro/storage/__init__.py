@@ -39,8 +39,6 @@ from repro.storage.packer import (
     PackedPartition,
     PackStats,
     pack_ordinals,
-    pack_relation,
-    pack_runs,
 )
 from repro.storage.wal import (
     LogImage,
@@ -65,8 +63,6 @@ __all__ = [
     "PackStats",
     "PackedPartition",
     "pack_ordinals",
-    "pack_relation",
-    "pack_runs",
     "HeapFile",
     "AVQFile",
     "external_sort_ordinals",

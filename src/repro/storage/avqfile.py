@@ -34,7 +34,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.storage.directory import BlockDirectory
 from repro.storage.disk import SimulatedDisk
-from repro.storage.packer import pack_runs
+from repro.storage.packer import pack_ordinals
 
 __all__ = ["AVQFile", "BlockRewrite", "OrdinalReader", "Span"]
 
@@ -98,14 +98,15 @@ class AVQFile:
     ) -> "AVQFile":
         """Sort, pack, code, and write a relation to ``disk``.
 
-        Packing is :func:`~repro.storage.packer.pack_runs` and each run
-        is encoded by :meth:`BlockCodec.encode_ordinals`, which alone
-        picks the vector or scalar encoder; the output is byte-identical
-        either way (property-tested in ``tests/core/test_fastpack.py``).
+        Packing is :func:`~repro.storage.packer.pack_ordinals` and each
+        run is encoded by :meth:`BlockCodec.encode_ordinals`; the codec
+        alone picks the vector or scalar packer and encoder, and the
+        output is byte-identical either way (property-tested in
+        ``tests/core/test_fastpack.py``).
         """
-        f = cls(relation.schema, disk, codec=codec)
-        f.rewrite(0, 0, f._pack_runs(relation.phi_ordinals()))
-        return f
+        return cls.from_ordinals(
+            relation.schema, disk, relation.phi_ordinals(), codec=codec
+        )
 
     @classmethod
     def from_ordinals(
@@ -124,7 +125,8 @@ class AVQFile:
         ``ordinals`` must be sorted ascending (duplicates allowed).
         """
         f = cls(schema, disk, codec=codec)
-        f.rewrite(0, 0, f._pack_runs(ordinals))
+        runs = pack_ordinals(f.codec, ordinals, disk.block_size).blocks
+        f.rewrite(0, 0, runs)
         return f
 
     @classmethod
@@ -159,10 +161,6 @@ class AVQFile:
         f._directory.replace(0, 0, directory)
         f._directory.check("attach")
         return f
-
-    def _pack_runs(self, ordinals: Sequence[int]) -> List[Sequence[int]]:
-        """Greedy Section 3.3 packing of sorted ordinals into block runs."""
-        return pack_runs(self._codec, ordinals, self._disk.block_size)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -391,7 +389,10 @@ class AVQFile:
         directory.replace(
             lo,
             hi,
-            [(b, r[0], r[-1], len(r)) for b, r in zip(new_ids, new_runs)],
+            [
+                (b, int(r[0]), int(r[-1]), len(r))
+                for b, r in zip(new_ids, new_runs)
+            ],
         )
         return BlockRewrite(old_ids, tuple(old_runs), tuple(new_ids), new_runs)
 
@@ -423,7 +424,8 @@ class AVQFile:
     def compact_span(self, read: OrdinalReader) -> Span:
         """The whole file, repacked at maximal fill (Section 3.3)."""
         old = [read(position) for position in range(self.num_blocks)]
-        runs = self._pack_runs([o for run in old for o in run])
+        flat = [o for run in old for o in run]
+        runs = pack_ordinals(self._codec, flat, self._disk.block_size).blocks
         return Span(0, len(old), runs, old)
 
     def insert(self, values: Sequence[int]) -> int:

@@ -9,9 +9,9 @@ than RAM.  This module supplies the standard solution:
   fixed-width blocks, then a k-way heap merge streaming the sorted
   sequence back;
 * :func:`bulk_load` — sort externally, then stream the sorted ordinals
-  straight through the packer/codec into a fresh
+  chunk by chunk through the packer and codec into a fresh
   :class:`~repro.storage.avqfile.AVQFile`, never holding more than one
-  run buffer plus one output block in memory.
+  chunk plus one open block in memory.
 
 Spill I/O is charged to the disk like any other block access, so the
 cost of loading shows up in the stats — a real bulk load pays it too.
@@ -20,7 +20,8 @@ cost of loading shows up in the stats — a real bulk load pays it too.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, List, Optional
+from itertools import islice
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.bitutils import byte_width
 from repro.core.codec import BlockCodec
@@ -28,6 +29,7 @@ from repro.errors import StorageError
 from repro.relational.schema import Schema
 from repro.storage.avqfile import AVQFile
 from repro.storage.disk import SimulatedDisk
+from repro.storage.packer import pack_ordinals
 
 __all__ = ["external_sort_ordinals", "bulk_load"]
 
@@ -123,55 +125,43 @@ def bulk_load(
 
     ``tuples`` may be any iterable of ordinal tuples (a generator reading
     a source file, for instance).  Sorting spills to ``spill_disk`` (its
-    own scratch disk by default), and the phi-sorted stream is packed and
-    coded block by block onto ``data_disk``.
+    own scratch disk by default).  The phi-sorted stream is packed
+    (:func:`~repro.storage.packer.pack_ordinals`) ``memory_budget``
+    ordinals at a time and coded onto ``data_disk``; each chunk's last,
+    still-open block is carried into the next chunk.  A chained greedy
+    boundary depends only on the ordinals before it, so the file is
+    byte-identical to :meth:`AVQFile.build
+    <repro.storage.avqfile.AVQFile.build>`.
     """
     codec = codec or BlockCodec(schema.domain_sizes)
+    if not isinstance(codec, BlockCodec) or not codec.chained:
+        raise StorageError(
+            "bulk loading requires a chained BlockCodec (its boundaries "
+            "depend only on the ordinals before them)"
+        )
     if codec.mapper.domain_sizes != schema.domain_sizes:
         raise StorageError("codec domain sizes do not match the schema")
-    if not codec.chained:
-        raise StorageError(
-            "bulk loading requires the chained codec (incremental sizing)"
-        )
     if spill_disk is None:
         spill_disk = SimulatedDisk(block_size=data_disk.block_size)
 
     mapper = schema.mapper
-
-    def ordinal_stream():
-        for t in tuples:
-            yield mapper.phi(t)
-
     sorted_ordinals = external_sort_ordinals(
-        ordinal_stream(),
+        (mapper.phi(t) for t in tuples),
         memory_budget=memory_budget,
         spill_disk=spill_disk,
         max_ordinal=mapper.space_size - 1,
     )
 
     out = AVQFile(schema, data_disk, codec=codec)
-    min_block = 4 + codec.tuple_bytes  # header + representative
-    block_size = data_disk.block_size
-    if block_size < min_block:
-        raise StorageError(
-            f"block size {block_size} cannot hold even one tuple"
-        )
-
-    current: List[int] = []
-    current_size = 0
-    for ordinal in sorted_ordinals:
-        if not current:
-            current = [ordinal]
-            current_size = min_block
-            continue
-        cost = codec.incremental_gap_cost(ordinal - current[-1])
-        if current_size + cost <= block_size:
-            current.append(ordinal)
-            current_size += cost
-        else:
-            out.rewrite(out.num_blocks, out.num_blocks, [current])
-            current = [ordinal]
-            current_size = min_block
-    if current:
-        out.rewrite(out.num_blocks, out.num_blocks, [current])
+    carry: Sequence[int] = []
+    while True:
+        chunk = list(islice(sorted_ordinals, memory_budget))
+        if not chunk:
+            break
+        *runs, carry = pack_ordinals(
+            codec, [*carry, *chunk], data_disk.block_size
+        ).blocks
+        out.rewrite(out.num_blocks, out.num_blocks, runs)
+    if len(carry):
+        out.rewrite(out.num_blocks, out.num_blocks, [carry])
     return out

@@ -543,6 +543,11 @@ class WriteAheadLog:
         survive process crashes but not OS crashes.
         """
         codec = codec or BlockCodec(schema.domain_sizes)
+        if not isinstance(codec, BlockCodec):
+            raise StorageError(
+                "a WAL header describes only BlockCodec codecs, not "
+                f"{type(codec).__name__}"
+            )
         header = WALHeader(
             schema=schema,
             chained=codec.chained,

@@ -119,12 +119,14 @@ class TestBlocksNeeded:
             NoCodingBaseline(sizes).blocks_needed(relation, 6)
 
     def test_avq_blocks_match_packer(self, relation):
-        from repro.storage.packer import pack_relation
+        from repro.core.codec import BlockCodec
+        from repro.storage.packer import pack_ordinals
 
-        avq = AVQBaseline(relation.schema.domain_sizes)
-        assert avq.blocks_needed(relation, 1024) == (
-            pack_relation(relation, block_size=1024).stats.num_blocks
-        )
+        sizes = relation.schema.domain_sizes
+        avq = AVQBaseline(sizes)
+        assert avq.blocks_needed(relation, 1024) == pack_ordinals(
+            BlockCodec(sizes, vectorized=False), relation.phi_ordinals(), 1024
+        ).stats.num_blocks
 
     def test_avq_tuple_size_is_context_dependent(self):
         with pytest.raises(NotImplementedError):

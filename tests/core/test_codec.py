@@ -7,7 +7,7 @@ import pytest
 from repro.core.codec import HEADER_BYTES, BlockCodec
 from repro.core.phi import OrdinalMapper
 from repro.errors import BlockOverflowError, CodecError
-from repro.storage.packer import pack_runs
+from repro.storage.packer import pack_ordinals
 
 PAPER_DOMAINS = [8, 16, 64, 64, 64]
 
@@ -200,7 +200,7 @@ def packed_relation(sizes, n, seed, block_size=512, **config):
     codec = BlockCodec(sizes, **config)
     rng = random.Random(seed)
     ordinals = sorted(rng.randrange(codec.mapper.space_size) for _ in range(n))
-    return codec, ordinals, pack_runs(codec, ordinals, block_size)
+    return codec, ordinals, pack_ordinals(codec, ordinals, block_size).blocks
 
 
 class TestPackedRelations:
@@ -228,7 +228,7 @@ class TestPackedRelations:
             [12, 12, 12], 1200, seed=5, representative="first"
         )
         for run in runs:
-            tuples = [codec.mapper.phi_inverse(o) for o in run]
+            tuples = codec.mapper.phi_inverse_many(run)
             assert codec.encode_ordinals(run) == codec.encode_block(tuples)
 
     @pytest.mark.parametrize("vectorized", [None, False])

@@ -1,5 +1,7 @@
 """The numpy gap sizer, packer and encoder must agree exactly with the
-scalar codec and packer (:mod:`repro.core.vectorized`)."""
+scalar codec and packer (:mod:`repro.core.vectorized`), and
+:meth:`BlockCodec.pack_boundaries` must give the same blocks whichever
+path it picks."""
 
 import random
 
@@ -9,16 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.codec import BlockCodec
+from repro.core.golomb import GolombBlockCodec
 from repro.core.runlength import TupleLayout
-from repro.core.vectorized import VectorizedBlockCodec, numpy_packer_for
+from repro.core.vectorized import VectorizedBlockCodec
 from repro.errors import DomainError, StorageError
-from repro.storage.packer import pack_ordinals, pack_runs
+from repro.storage.packer import pack_ordinals
+from repro.workload.generator import paper_timing_spec
 
 
 def pack_boundaries(ordinals, sizes, block_size):
-    return VectorizedBlockCodec(sizes).pack_boundaries(
-        np.asarray(ordinals), block_size
-    )
+    """``(start, end)`` pairs of the default codec's (numpy) fill."""
+    codec = BlockCodec(sizes)
+    assert codec.pack_path == "vector"
+    return [
+        (s, e)
+        for s, e, _ in codec.pack_boundaries(np.asarray(ordinals), block_size)
+    ]
 
 
 def encode_relation(ordinals, sizes, block_size):
@@ -27,8 +35,12 @@ def encode_relation(ordinals, sizes, block_size):
     arr = np.asarray(ordinals, dtype=np.int64)
     return [
         vec.encode_run(arr[s:e])
-        for s, e in vec.pack_boundaries(arr, block_size)
+        for s, e, _ in vec.pack_boundaries(arr, block_size)
     ]
+
+
+def as_lists(partition):
+    return [[int(o) for o in run] for run in partition.blocks]
 
 
 def scalar_leading_zeros(layout, mapper, gap):
@@ -95,7 +107,9 @@ class TestFastPacking:
         ordinals = sorted(
             rng.randrange(codec.mapper.space_size) for _ in range(2000)
         )
-        exact = pack_ordinals(codec, ordinals, block_size)
+        exact = pack_ordinals(
+            BlockCodec(sizes, vectorized=False), ordinals, block_size
+        )
         fast = pack_boundaries(ordinals, sizes, block_size)
         fast_runs = [ordinals[s:e] for s, e in fast]
         assert fast_runs == exact.blocks
@@ -107,13 +121,16 @@ class TestFastPacking:
         ordinals = sorted(
             rng.randrange(codec.mapper.space_size) for _ in range(5000)
         )
-        exact = pack_ordinals(codec, ordinals, 512).stats.num_blocks
+        exact = pack_ordinals(
+            BlockCodec(sizes, vectorized=False), ordinals, 512
+        ).stats.num_blocks
         assert len(pack_boundaries(ordinals, sizes, 512)) == exact
 
     def test_duplicates(self):
         sizes = [8, 8]
+        scalar = BlockCodec(sizes, vectorized=False)
         assert len(pack_boundaries([5] * 100, sizes, 32)) == (
-            pack_ordinals(BlockCodec(sizes), [5] * 100, 32).stats.num_blocks
+            pack_ordinals(scalar, [5] * 100, 32).stats.num_blocks
         )
 
     def test_empty_input(self):
@@ -121,44 +138,91 @@ class TestFastPacking:
 
     def test_unsorted_rejected(self):
         with pytest.raises(StorageError):
-            pack_boundaries(np.array([5, 3]), [4, 4], 64)
+            pack_ordinals(BlockCodec([4, 4]), np.array([5, 3]), 64)
 
     def test_tiny_block_rejected(self):
         with pytest.raises(StorageError):
-            pack_boundaries(np.array([1]), [4, 4], 4)
+            pack_ordinals(BlockCodec([4, 4]), np.array([1]), 4)
 
 
-#: Codec configurations the boundary-identity property runs over: the
-#: paper's default, a non-median representative (numpy packer, scalar
-#: encoder) and an unchained ablation (scalar packer).
-PACKING_CONFIGS = [
-    {},
-    {"representative": "first"},
-    {"chained": False},
-]
+#: The Section 5.2 timing relation's domains (38-byte tuples): an
+#: ordinal space far above 2**64, so every path is the scalar one.
+SECTION_52 = list(paper_timing_spec(1).domain_sizes)
+
+#: Codec configurations the boundary-identity property runs over, as
+#: ``BlockCodec`` keyword arguments (``None`` for Golomb): the paper's
+#: default (numpy fill), a non-median representative (numpy fill,
+#: scalar encoder), an unchained ablation and Golomb (both bisection).
+PACKING_CONFIGS = {
+    "chained-median": {},
+    "chained-first": {"representative": "first"},
+    "unchained": {"chained": False},
+    "golomb": None,
+}
+
+
+def _codecs(sizes, config):
+    """The default-chosen codec and its forced-scalar twin (Golomb has
+    one path only)."""
+    if config is None:
+        return GolombBlockCodec(sizes), GolombBlockCodec(sizes)
+    return (
+        BlockCodec(sizes, **config),
+        BlockCodec(sizes, vectorized=False, **config),
+    )
+
+
+def _domains_near(bits, step):
+    """Domains whose ordinal space is ``2**bits``, nudged by ``step``
+    parts in 2**20 (the int64 boundaries: 2**61 and 2**64)."""
+    return [2**20 + step] + [2**20] * (bits // 20 - 1) + [2 ** (bits % 20)]
 
 
 @given(
-    st.lists(st.integers(2, 200), min_size=1, max_size=5),
+    st.one_of(
+        st.lists(st.integers(2, 200), min_size=1, max_size=5),
+        st.builds(
+            _domains_near,
+            st.sampled_from([61, 64]),
+            st.sampled_from([-1, 0, 1]),
+        ),
+        st.just(SECTION_52),
+    ),
     st.integers(0, 10**6),
-    st.integers(24, 200),
-    st.sampled_from(PACKING_CONFIGS),
+    st.integers(24, 400),
+    st.sampled_from(sorted(PACKING_CONFIGS)),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_property_fast_equals_exact(sizes, seed, block_size, config):
-    codec = BlockCodec(sizes, **config)
+    """Whatever path ``BlockCodec.pack_boundaries`` picks, the partition
+    and every block's size equal the ``vectorized=False`` pack's."""
+    codec, scalar = _codecs(sizes, PACKING_CONFIGS[config])
     rng = random.Random(seed)
     n = rng.randrange(1, 120)
-    ordinals = sorted(rng.randrange(codec.mapper.space_size) for _ in range(n))
-    exact = pack_ordinals(codec, ordinals, block_size)
-    assert pack_runs(codec, ordinals, block_size) == exact.blocks
-    packer = numpy_packer_for(codec)
-    if not codec.chained:
-        # Unchained sizes depend on the representative: scalar packer only.
-        assert packer is None
+    space = codec.mapper.space_size
+    ordinals = sorted(rng.randrange(space) for _ in range(n))
+    if rng.random() < 0.3:  # duplicate-heavy runs: zero gaps
+        ordinals = sorted(ordinals[: max(1, n // 10)] * 10)
+    try:
+        exact = pack_ordinals(scalar, ordinals, block_size)
+    except StorageError:  # block too small for one tuple: both refuse
+        with pytest.raises(StorageError):
+            pack_ordinals(codec, ordinals, block_size)
         return
-    fast = packer.pack_boundaries(np.asarray(ordinals), block_size)
-    assert [ordinals[s:e] for s, e in fast] == exact.blocks
+    packed = pack_ordinals(codec, ordinals, block_size)
+    assert as_lists(packed) == exact.blocks
+    assert packed.stats == exact.stats
+    assert codec.pack_boundaries(ordinals, block_size) == (
+        scalar.pack_boundaries(ordinals, block_size)
+    )
+    numpy_walk = config.startswith("chained") and codec.mapper.fits_int64
+    assert codec.pack_path == ("vector" if numpy_walk else "scalar")
+    assert scalar.pack_path == "scalar"
+    # Every reported size is the block's real encoded size.
+    for run, (_, _, size) in zip(
+        exact.blocks, scalar.pack_boundaries(ordinals, block_size)
+    ):
+        assert size == len(scalar.encode_ordinals(run)) <= block_size
 
 
 class TestFastEncoder:

@@ -223,8 +223,8 @@ class TestVectorizedCodecPhi:
         "sizes", [PAPER_DOMAINS, [4] * 15, [300, 5, 70000]]
     )
     def test_encoded_size_of_run_is_exact(self, sizes):
-        """The vectorised sizing path equals the scalar estimate *and*
-        the actual byte count it goes on to produce."""
+        """The numpy packer's block size equals the scalar estimate *and*
+        the actual byte count the vector encoder goes on to produce."""
         from repro.core.codec import BlockCodec
         from repro.core.vectorized import VectorizedBlockCodec
 
@@ -234,7 +234,8 @@ class TestVectorizedCodecPhi:
         space = OrdinalMapper(sizes).space_size
         for u in (1, 2, 7, 64):
             run = np.sort(rng.integers(0, space, size=u))
-            size = vec.encoded_size_of_run(run)
+            [(start, end, size)] = vec.pack_boundaries(run, 1 << 20)
+            assert (start, end) == (0, u)
             assert size == len(vec.encode_run(run))
             assert size == scalar.encoded_size_of_ordinals(
                 [int(o) for o in run]

@@ -177,8 +177,6 @@ class TestEdgeBlocks:
         vec = VectorizedBlockCodec(sizes)
         with pytest.raises(CodecError):
             vec.encode_run([])
-        with pytest.raises(CodecError):
-            vec.encoded_size_of_run([])
 
     @pytest.mark.parametrize("sizes", EDGE_SCHEMAS)
     def test_single_tuple_block(self, sizes):

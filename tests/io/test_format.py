@@ -105,6 +105,18 @@ class TestRoundTrip:
                 codec=BlockCodec([2, 2]),
             )
 
+    def test_non_block_codec_rejected(self, relation, tmp_path):
+        from repro.core.golomb import GolombBlockCodec
+
+        path = tmp_path / "g.avq"
+        with pytest.raises(StorageError, match="GolombBlockCodec"):
+            write_avq_file(
+                str(path),
+                relation,
+                codec=GolombBlockCodec(relation.schema.domain_sizes),
+            )
+        assert not path.exists()
+
 
 class TestLazyAccess:
     def test_block_at_a_time(self, relation, tmp_path):

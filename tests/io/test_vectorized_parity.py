@@ -130,3 +130,57 @@ class TestQueryParity:
         ]
         assert "vector" in paths
         assert "scalar" in paths
+
+
+def _relation_over(maxima, n=600, seed=5):
+    """``n`` uniform rows over domains ``[0, max]``, attribute ``A1`` first."""
+    import random
+
+    from repro.relational.domain import IntegerRangeDomain
+    from repro.relational.relation import Relation
+    from repro.relational.schema import Attribute, Schema
+
+    schema = Schema(
+        [
+            Attribute(f"A{i + 1}", IntegerRangeDomain(0, hi))
+            for i, hi in enumerate(maxima)
+        ]
+    )
+    rng = random.Random(seed)
+    rows = [tuple(rng.randint(0, hi) for hi in maxima) for _ in range(n)]
+    return Relation(schema, rows)
+
+
+class TestDecodePathSpans:
+    """Spans name the decoder reads really run through: 61 binary
+    attributes encode in numpy but decode scalar (a corrupt payload
+    could overflow int64 reassembly); point-hot's table decodes vector."""
+
+    @pytest.mark.parametrize(
+        "maxima, path",
+        [((1,) * 61, "scalar"), ((8191,) + (255,) * 5, "vector")],
+        ids=["binary-61", "point-hot"],
+    )
+    def test_select_spans_name_the_decoder(self, maxima, path):
+        relation = _relation_over(maxima)
+        table = Table.from_relation(
+            "t", relation, SimulatedDisk(block_size=512)
+        )
+        assert table.storage.codec.vectorized
+        registry, tracer = runtime.enable()
+        query = RangeQuery.between("A1", 0, maxima[0] // 2)
+        assert table.select(query).blocks_read > 0
+        decodes = {
+            p: registry.value(f"codec.{p}_decodes")
+            for p in ("vector", "scalar")
+        }
+        assert decodes[path] > 0 and sum(decodes.values()) == decodes[path]
+        table.enable_mvcc()
+        with table.read_snapshot() as snapshot:
+            snapshot.select(query)
+        spans = {
+            s.name: s.attributes.get("codec_path")
+            for s in tracer.finished_spans()
+            if s.name in ("query.select", "snapshot.select")
+        }
+        assert spans == {"query.select": path, "snapshot.select": path}

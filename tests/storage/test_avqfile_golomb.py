@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.codec import BlockCodec
+from repro.errors import StorageError
 from repro.core.golomb import GolombBlockCodec
 from repro.db.table import Table
 from repro.relational.domain import IntegerRangeDomain
@@ -78,3 +79,17 @@ class TestGolombStorageEngine:
         before = sorted(f.scan())
         f.compact()
         assert sorted(f.scan()) == before
+
+    def test_durable_table_refused(self, setup, tmp_path):
+        """A WAL header can only describe a BlockCodec."""
+        schema, rel = setup
+        wal = tmp_path / "t.wal"
+        with pytest.raises(StorageError, match="GolombBlockCodec"):
+            Table.from_relation(
+                "t",
+                rel,
+                SimulatedDisk(block_size=512),
+                codec=GolombBlockCodec(schema.domain_sizes),
+                durable_path=str(wal),
+            )
+        assert not wal.exists()

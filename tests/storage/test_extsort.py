@@ -146,6 +146,15 @@ class TestBulkLoad:
                 codec=BlockCodec(schema.domain_sizes, chained=False),
             )
 
+    def test_golomb_codec_rejected(self, schema):
+        from repro.core.golomb import GolombBlockCodec
+
+        disk = SimulatedDisk(block_size=512)
+        with pytest.raises(StorageError):
+            bulk_load(
+                schema, [], disk, codec=GolombBlockCodec(schema.domain_sizes)
+            )
+
     def test_empty_stream(self, schema):
         disk = SimulatedDisk(block_size=512)
         f = bulk_load(schema, [], disk)
@@ -183,3 +192,42 @@ class TestBulkLoadBytes:
         assert [
             built_disk.read_block(i) for i in built.block_ids
         ] == [loaded_disk.read_block(i) for i in loaded.block_ids]
+
+    @pytest.mark.parametrize("vectorized", [None, False])
+    def test_duplicate_run_straddles_chunk_and_block(self, schema, vectorized):
+        """One tuple repeated across several chunk ends and block
+        boundaries: the carried open block keeps the greedy fill."""
+        from repro.core.codec import BlockCodec
+
+        rng = random.Random(14)
+        hot = (7, 7, 7, 7)
+        tuples = [hot] * 700 + [
+            tuple(rng.randrange(64) for _ in range(4)) for _ in range(400)
+        ]
+        rng.shuffle(tuples)
+        budget = 90  # a duplicate-only 256-byte block holds 249 tuples
+        codec = BlockCodec(schema.domain_sizes, vectorized=vectorized)
+        loaded_disk = SimulatedDisk(block_size=256)
+        loaded = bulk_load(
+            schema, iter(tuples), loaded_disk, memory_budget=budget,
+            codec=codec,
+        )
+        built_disk = SimulatedDisk(block_size=256)
+        built = AVQFile.build(
+            Relation(schema, tuples), built_disk, codec=codec
+        )
+        assert [
+            built_disk.read_block(i) for i in built.block_ids
+        ] == [loaded_disk.read_block(i) for i in loaded.block_ids]
+
+        # The hot run crosses a chunk end and a block boundary.
+        phi = schema.mapper.phi(hot)
+        ordinals = sorted(schema.mapper.phi(t) for t in tuples)
+        first = ordinals.index(phi)
+        assert any(
+            k % budget == 0 for k in range(first + 1, first + 700)
+        )
+        assert any(
+            loaded.block_range(p)[1] == phi == loaded.block_range(p + 1)[0]
+            for p in range(loaded.num_blocks - 1)
+        )

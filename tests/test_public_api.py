@@ -20,7 +20,7 @@ EXPECTED_EXPORTS = {
         "build_codebook", "STRATEGIES", "get_strategy", "tuple_difference",
         "ordinal_difference", "difference_tuple", "apply_difference",
         "GolombBlockCodec", "choose_rice_parameter",
-        "VectorizedBlockCodec", "numpy_packer_for", "vectorized_codec_for",
+        "VectorizedBlockCodec", "vectorized_codec_for",
     ],
     "repro.vq": [
         "squared_error", "mean_squared_distortion", "lbg_codebook",
@@ -35,8 +35,8 @@ EXPECTED_EXPORTS = {
     "repro.storage": [
         "DEFAULT_BLOCK_SIZE", "Block", "DiskModel", "DiskStats",
         "SimulatedDisk", "BufferPool", "BufferStats",
-        "PackStats", "PackedPartition", "pack_ordinals", "pack_relation",
-        "pack_runs", "HeapFile", "AVQFile",
+        "PackStats", "PackedPartition", "pack_ordinals", "HeapFile",
+        "AVQFile",
         "external_sort_ordinals", "bulk_load",
     ],
     "repro.index": [
